@@ -2,7 +2,7 @@
 //! lambda-heavy narrow chain ([`emma_bench::lambda_chain`], 1 M `(i64,
 //! i64)` rows through thirteen fused Map/Filter operators) executed
 //! (a) row-at-a-time through the slot-based scalar compiled evaluators and
-//! (b) in typed columnar batches through `Engine::with_vectorized_eval`.
+//! (b) in typed columnar batches (`EvalTier::Vectorized`).
 //! Both configurations run the identical fused plan on the persistent
 //! worker pool; the only difference is batch-at-a-time kernel dispatch
 //! versus per-row postfix interpretation, so the ratio is the headline
@@ -21,30 +21,30 @@ use criterion::{criterion_group, take_measurements, Criterion, Measurement};
 use emma::prelude::*;
 use emma_bench::lambda_chain::{self, ROWS, STAGES};
 use emma_bench::string_filter;
-use emma_engine::ParallelismMode;
 
 /// Batch size for the vectorized configuration (the `BatchConfig` default).
 const BATCH_ROWS: usize = 1_024;
 
-fn pool_engine() -> Engine {
-    Engine::sparrow()
-        .with_parallelism_mode(ParallelismMode::Pool)
-        .with_parallelism_threshold(4_096)
+const VECTORIZED: EvalTier = EvalTier::Vectorized(BatchConfig {
+    batch_rows: BATCH_ROWS,
+});
+
+/// The three tiers, each running the identical fused plan on the pool.
+fn configs() -> [(&'static str, EvalTier); 3] {
+    [
+        ("interp_fused_pool", EvalTier::Interp),
+        ("scalar_compiled_pool", EvalTier::Compiled),
+        ("vectorized_pool", VECTORIZED),
+    ]
 }
 
 fn bench_batch_eval(c: &mut Criterion) {
     let catalog = lambda_chain::catalog();
-    let scalar_engine = pool_engine();
-    let vector_engine = pool_engine().with_vectorized_eval(BatchConfig::new(BATCH_ROWS));
+    let engine = Engine::sparrow();
     let mut group = c.benchmark_group("batch_eval");
     group.sample_size(8);
-    let configs: [(&str, &Engine, bool); 3] = [
-        ("interp_fused_pool", &scalar_engine, false),
-        ("scalar_compiled_pool", &scalar_engine, true),
-        ("vectorized_pool", &vector_engine, true),
-    ];
-    for (name, engine, compiled_eval) in configs {
-        let prog = lambda_chain::program(compiled_eval, false);
+    for (name, tier) in configs() {
+        let prog = lambda_chain::program(tier);
         group.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(engine.run(&prog, &catalog).expect("run")))
         });
@@ -58,17 +58,11 @@ fn bench_batch_eval(c: &mut Criterion) {
 /// ~15 %; the ratio is the headline number for the string kernels.
 fn bench_batch_eval_strings(c: &mut Criterion) {
     let catalog = string_filter::catalog();
-    let scalar_engine = pool_engine();
-    let vector_engine = pool_engine().with_vectorized_eval(BatchConfig::new(BATCH_ROWS));
+    let engine = Engine::sparrow();
     let mut group = c.benchmark_group("batch_eval_strings");
     group.sample_size(8);
-    let configs: [(&str, &Engine, bool); 3] = [
-        ("interp_fused_pool", &scalar_engine, false),
-        ("scalar_compiled_pool", &scalar_engine, true),
-        ("vectorized_pool", &vector_engine, true),
-    ];
-    for (name, engine, compiled_eval) in configs {
-        let prog = string_filter::program(compiled_eval, false);
+    for (name, tier) in configs() {
+        let prog = string_filter::program(tier);
         group.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(engine.run(&prog, &catalog).expect("run")))
         });
@@ -86,9 +80,8 @@ fn main() {
     // The measured chain must actually vectorize end-to-end: no silent
     // fallback may turn the headline into a scalar-vs-scalar comparison.
     let catalog = lambda_chain::catalog();
-    let run = pool_engine()
-        .with_vectorized_eval(BatchConfig::new(BATCH_ROWS))
-        .run(&lambda_chain::program(true, false), &catalog)
+    let run = Engine::sparrow()
+        .run(&lambda_chain::program(VECTORIZED), &catalog)
         .expect("vectorized run");
     assert!(
         run.stats.rows_vectorized >= ROWS as u64 && run.stats.vector_fallbacks == 0,
@@ -102,9 +95,8 @@ fn main() {
     // comparison, and the `strlen` collapse must all run in the batch tier,
     // and no wide operator may quietly fall off the vectorized key path.
     let catalog = string_filter::catalog();
-    let run = pool_engine()
-        .with_vectorized_eval(BatchConfig::new(BATCH_ROWS))
-        .run(&string_filter::program(true, false), &catalog)
+    let run = Engine::sparrow()
+        .run(&string_filter::program(VECTORIZED), &catalog)
         .expect("vectorized string run");
     assert!(
         run.stats.rows_vectorized >= string_filter::ROWS as u64

@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the compiled-evaluator tier: the same
 //! lambda-heavy narrow chain ([`emma_bench::lambda_chain`]) executed
 //! (a) through the tree-walking reference interpreter and (b) through the
-//! slot-based evaluators that `compiled_eval` lowers every UDF into once
+//! slot-based evaluators that `EvalTier::Compiled` lowers every UDF into once
 //! per run. Both configurations run fused on the persistent worker pool, so
 //! the only difference is how each row is evaluated on the host: AST walk
 //! with name-resolved environment lookups versus a flat postfix program
@@ -17,23 +17,23 @@
 use criterion::{criterion_group, take_measurements, Criterion, Measurement};
 use emma::prelude::*;
 use emma_bench::lambda_chain::{self, ROWS, STAGES};
-use emma_engine::ParallelismMode;
 
 /// Both configurations run the identical fused plan on the worker pool;
 /// only the evaluation tier differs.
-fn configs() -> [(&'static str, bool); 2] {
-    [("interp_fused_pool", false), ("compiled_fused_pool", true)]
+fn configs() -> [(&'static str, EvalTier); 2] {
+    [
+        ("interp_fused_pool", EvalTier::Interp),
+        ("compiled_fused_pool", EvalTier::Compiled),
+    ]
 }
 
 fn bench_compiled_eval(c: &mut Criterion) {
     let catalog = lambda_chain::catalog();
-    let engine = Engine::sparrow()
-        .with_parallelism_mode(ParallelismMode::Pool)
-        .with_parallelism_threshold(4_096);
+    let engine = Engine::sparrow();
     let mut group = c.benchmark_group("compiled_eval");
     group.sample_size(8);
-    for (name, compiled_eval) in configs() {
-        let prog = lambda_chain::program(compiled_eval, false);
+    for (name, tier) in configs() {
+        let prog = lambda_chain::program(tier);
         group.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(engine.run(&prog, &catalog).expect("run")))
         });

@@ -17,7 +17,6 @@
 
 use criterion::{criterion_group, take_measurements, Criterion, Measurement};
 use emma::prelude::*;
-use emma_engine::ParallelismMode;
 
 /// Large enough that per-partition task work dominates and the pool is
 /// engaged (above the parallelism gate) on every operator.
@@ -93,9 +92,7 @@ fn bench_fault_injection(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_injection");
     group.sample_size(10);
     for (name, faults) in configs() {
-        let mut engine = Engine::sparrow()
-            .with_parallelism_mode(ParallelismMode::Pool)
-            .with_parallelism_threshold(4_096);
+        let mut engine = Engine::sparrow();
         if let Some(cfg) = faults {
             engine = engine.with_faults(cfg);
         }

@@ -1,23 +1,21 @@
-//! Wall-clock benchmark of pipeline fusion and the persistent worker pool:
-//! the same narrow-operator chain executed (a) the seed way — one operator
-//! at a time on per-operator thread scopes, materializing an intermediate
-//! collection between every pair of operators — and (b) fused into a single
-//! `Plan::Pipeline` per-partition pass on the per-run worker pool, plus the
-//! two single-change ablations in between.
+//! Wall-clock benchmark of pipeline fusion: the same narrow-operator chain
+//! executed on the per-run worker pool (a) one operator at a time,
+//! materializing an intermediate collection between every pair of
+//! operators, and (b) fused into a single `Plan::Pipeline` per-partition
+//! pass.
 //!
 //! Besides printing the usual criterion summary, the harness writes
 //! `BENCH_pipeline_fusion.json` at the repository root with the raw
-//! measurements and the headline fused-pool-vs-seed speedup. The
-//! deterministic *simulated* time is identical across all four
-//! configurations by construction (see `tests/fusion_equivalence.rs`);
-//! everything measured here is real elapsed time.
+//! measurements and the headline fused-vs-unfused speedup. The
+//! deterministic *simulated* time is identical in both configurations by
+//! construction (see `tests/fusion_equivalence.rs`); everything measured
+//! here is real elapsed time.
 
 use criterion::{criterion_group, take_measurements, Criterion, Measurement};
 use emma::prelude::*;
 use emma_compiler::bag_expr::BagExpr;
 use emma_compiler::physical_pipeline::apply_pipeline_fusion;
-use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
-use emma_engine::ParallelismMode;
+use emma_compiler::pipeline::{CStmt, CompiledProgram, EvalTier, OptimizationReport};
 
 /// Rows in the benchmark dataset. Large enough that the ~24 MB intermediate
 /// collections the unfused execution materializes between stages exceed
@@ -64,8 +62,7 @@ fn chain_plan() -> Plan {
     plan
 }
 
-/// The same shape with a row-expanding flatMap in the middle — the operator
-/// the seed executed serially and the pool fans out.
+/// The same shape with a row-expanding flatMap in the middle.
 fn flatmap_chain_plan() -> Plan {
     let mut plan = Plan::Source { name: "xs".into() };
     plan = filter_gt(Box::new(plan), -1);
@@ -88,8 +85,7 @@ fn program(plan: Plan, fused: bool) -> CompiledProgram {
             plan,
         }],
         report: OptimizationReport::default(),
-        compiled_eval: true,
-        vectorized_eval: false,
+        eval_tier: EvalTier::Compiled,
     };
     if fused {
         apply_pipeline_fusion(&mut prog.body, &mut prog.report);
@@ -98,25 +94,14 @@ fn program(plan: Plan, fused: bool) -> CompiledProgram {
     prog
 }
 
-fn engine(mode: ParallelismMode) -> Engine {
-    Engine::sparrow()
-        .with_parallelism_mode(mode)
-        .with_parallelism_threshold(4_096)
-}
-
-/// The four configurations: seed baseline, the two single-change ablations,
-/// and the full fused-pool execution.
-fn configs() -> [(&'static str, bool, ParallelismMode); 4] {
-    [
-        ("seed_per_operator", false, ParallelismMode::PerOperator),
-        ("pool_only", false, ParallelismMode::Pool),
-        ("fusion_only", true, ParallelismMode::PerOperator),
-        ("fused_pool", true, ParallelismMode::Pool),
-    ]
+/// Fusion off and on; both run on the worker pool.
+fn configs() -> [(&'static str, bool); 2] {
+    [("unfused_pool", false), ("fused_pool", true)]
 }
 
 fn bench_pipeline_fusion(c: &mut Criterion) {
     let catalog = Catalog::new().with("xs", (0..ROWS).map(Value::Int).collect::<Vec<_>>());
+    let engine = Engine::sparrow();
     for (group_name, plan) in [
         ("pipeline_fusion", chain_plan as fn() -> Plan),
         (
@@ -126,11 +111,10 @@ fn bench_pipeline_fusion(c: &mut Criterion) {
     ] {
         let mut group = c.benchmark_group(group_name);
         group.sample_size(8);
-        for (name, fused, mode) in configs() {
+        for (name, fused) in configs() {
             let prog = program(plan(), fused);
-            let eng = engine(mode);
             group.bench_function(name, |b| {
-                b.iter(|| std::hint::black_box(eng.run(&prog, &catalog).expect("run")))
+                b.iter(|| std::hint::black_box(engine.run(&prog, &catalog).expect("run")))
             });
         }
         group.finish();
@@ -153,20 +137,20 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let (speedup, speedup_min) = match (
-        mean_of(&ms, "pipeline_fusion/seed_per_operator"),
+        mean_of(&ms, "pipeline_fusion/unfused_pool"),
         mean_of(&ms, "pipeline_fusion/fused_pool"),
     ) {
-        (Some(seed), Some(fused)) => (
-            seed.mean_ns / fused.mean_ns,
+        (Some(unfused), Some(fused)) => (
+            unfused.mean_ns / fused.mean_ns,
             // Fastest-sample ratio: robust against scheduler noise on
             // shared machines, where slow outliers inflate both means.
-            seed.min_ns / fused.min_ns,
+            unfused.min_ns / fused.min_ns,
         ),
         _ => (f64::NAN, f64::NAN),
     };
     let results = emma_bench::bench_json(&ms, ROWS as u64);
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_fusion\",\n  \"rows\": {ROWS},\n  \"stages\": 10,\n  \"threads\": {threads},\n  \"speedup_fused_pool_vs_seed\": {speedup:.3},\n  \"speedup_fused_pool_vs_seed_min\": {speedup_min:.3},\n  \"results\": [\n{results}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"pipeline_fusion\",\n  \"rows\": {ROWS},\n  \"stages\": 10,\n  \"threads\": {threads},\n  \"speedup_fused_vs_unfused\": {speedup:.3},\n  \"speedup_fused_vs_unfused_min\": {speedup_min:.3},\n  \"results\": [\n{results}\n  ]\n}}\n"
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -175,6 +159,6 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_pipeline_fusion.json");
     println!("\nwrote {path}");
     println!(
-        "fused_pool vs seed_per_operator speedup: {speedup:.2}x mean, {speedup_min:.2}x fastest-sample ({threads} threads)"
+        "fused_pool vs unfused_pool speedup: {speedup:.2}x mean, {speedup_min:.2}x fastest-sample ({threads} threads)"
     );
 }

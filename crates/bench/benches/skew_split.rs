@@ -24,7 +24,6 @@ use emma::prelude::*;
 use emma_datagen::distributions::{self, KeyDistribution};
 use emma_engine::dataset::value_hash;
 use emma_engine::skew::{self, SkewConfig};
-use emma_engine::ParallelismMode;
 
 /// Sized so the hot partition under Zipf(1.4) holds ~30% of all rows —
 /// a ~100× skew ratio over the mean partition at DOP 320.
@@ -112,9 +111,7 @@ fn catalog(s: f64) -> Catalog {
 }
 
 fn engine(split: bool) -> Engine {
-    let e = Engine::sparrow()
-        .with_parallelism_mode(ParallelismMode::Pool)
-        .with_parallelism_threshold(4_096);
+    let e = Engine::sparrow();
     if split {
         e.with_skew_splitting(SkewConfig::default())
     } else {

@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, take_measurements, Criterion, Measurement};
 use emma::prelude::*;
-use emma_engine::{ParallelismMode, SpeculationPolicy};
+use emma_engine::SpeculationPolicy;
 
 /// Large enough that per-partition task work dominates and the pool is
 /// engaged (above the parallelism gate) on every operator.
@@ -109,9 +109,7 @@ fn configs() -> [(&'static str, Option<FaultConfig>); 4] {
 }
 
 fn engine_for(faults: Option<FaultConfig>) -> Engine {
-    let engine = Engine::sparrow()
-        .with_parallelism_mode(ParallelismMode::Pool)
-        .with_parallelism_threshold(4_096);
+    let engine = Engine::sparrow();
     match faults {
         Some(cfg) => engine.with_faults(cfg),
         None => engine,

@@ -39,8 +39,7 @@ fn flags_for(config: usize) -> OptimizerFlags {
         caching: false,
         partition_pulling: false,
         pipeline_fusion: true,
-        compiled_eval: true,
-        vectorized_eval: false,
+        eval_tier: EvalTier::Compiled,
     };
     match config {
         0 | 1 => base,

@@ -15,7 +15,7 @@
 use emma::prelude::*;
 use emma_compiler::expr::BuiltinFn;
 use emma_compiler::physical_pipeline::apply_pipeline_fusion;
-use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
+use emma_compiler::pipeline::{CStmt, CompiledProgram, EvalTier, OptimizationReport};
 
 /// Rows in the benchmark dataset — large enough that per-row evaluation
 /// dominates the run and fixed per-run costs (compilation, pool spin-up)
@@ -148,17 +148,15 @@ fn hash_round(a: i64, b: i64, m: i64) -> ScalarExpr {
 }
 
 /// The chain as a fused single-sink program on the requested evaluation
-/// tier (`compiled_eval` tier flag; `vectorized_eval` additionally opts the
-/// program into the batch tier).
-pub fn program(compiled_eval: bool, vectorized_eval: bool) -> CompiledProgram {
+/// tier.
+pub fn program(eval_tier: EvalTier) -> CompiledProgram {
     let mut prog = CompiledProgram {
         body: vec![CStmt::Write {
             sink: "out".into(),
             plan: plan(),
         }],
         report: OptimizationReport::default(),
-        compiled_eval,
-        vectorized_eval,
+        eval_tier,
     };
     apply_pipeline_fusion(&mut prog.body, &mut prog.report);
     assert_eq!(prog.report.pipelines_fused, 1, "chain must fuse");

@@ -14,7 +14,7 @@
 use emma::prelude::*;
 use emma_compiler::expr::BuiltinFn;
 use emma_compiler::physical_pipeline::apply_pipeline_fusion;
-use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
+use emma_compiler::pipeline::{CStmt, CompiledProgram, EvalTier, OptimizationReport};
 
 /// Rows in the email dataset.
 pub const ROWS: i64 = 1_000_000;
@@ -92,15 +92,14 @@ pub fn plan() -> Plan {
 
 /// The chain as a fused single-sink program on the requested evaluation
 /// tier.
-pub fn program(compiled_eval: bool, vectorized_eval: bool) -> CompiledProgram {
+pub fn program(eval_tier: EvalTier) -> CompiledProgram {
     let mut prog = CompiledProgram {
         body: vec![CStmt::Write {
             sink: "out".into(),
             plan: plan(),
         }],
         report: OptimizationReport::default(),
-        compiled_eval,
-        vectorized_eval,
+        eval_tier,
     };
     apply_pipeline_fusion(&mut prog.body, &mut prog.report);
     assert_eq!(prog.report.pipelines_fused, 1, "string chain must fuse");

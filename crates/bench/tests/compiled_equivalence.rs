@@ -8,10 +8,10 @@
 //! row is evaluated on the host, never what is computed or what the cost
 //! model charges.
 //!
-//! The vectorized batch tier is held to the same bar: with
-//! `vectorized_eval` on (by engine knob or program flag), every workload
-//! must reproduce the scalar compiled tier's rows, scalars, and cost-model
-//! counters exactly — the only counters allowed to move are the three
+//! The vectorized batch tier is held to the same bar: compiled with
+//! `EvalTier::Vectorized` (a small batch and the default one), every
+//! workload must reproduce the scalar compiled tier's rows, scalars, and
+//! cost-model counters exactly — the only counters allowed to move are the
 //! vectorization telemetry fields — and rerunning the same configuration
 //! (including under chaos faults and skew splitting) must replay those
 //! telemetry counters bit-identically.
@@ -30,13 +30,8 @@ fn assert_compiled_invariant(
     catalog: &Catalog,
     flags: &OptimizerFlags,
 ) {
-    let compiled = parallelize(program, &flags.with_compiled_eval(true));
-    let interpreted = parallelize(program, &flags.with_compiled_eval(false));
-    assert!(compiled.compiled_eval, "{what}: flag not plumbed through");
-    assert!(
-        !interpreted.compiled_eval,
-        "{what}: flag not plumbed through"
-    );
+    let compiled = parallelize(program, &flags.with_eval_tier(EvalTier::Compiled));
+    let interpreted = parallelize(program, &flags.with_eval_tier(EvalTier::Interp));
     for engine in [Engine::sparrow(), Engine::flamingo()] {
         let a = engine.run(&compiled, catalog).expect(what);
         let b = engine.run(&interpreted, catalog).expect(what);
@@ -65,41 +60,36 @@ fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
 }
 
 /// The vectorized-tier acceptance bar, run against the scalar compiled
-/// tier on both engines and through both opt-in routes (engine knob with a
-/// small batch so multi-batch replay is exercised, and the program-level
-/// `OptimizerFlags::vectorized_eval` with the default batch size).
+/// tier on both engines at two batch sizes (a small batch so multi-batch
+/// replay is exercised, and the default batch size).
 fn assert_vectorized_invariant(
     what: &str,
     program: &Program,
     catalog: &Catalog,
     flags: &OptimizerFlags,
 ) {
-    let scalar = parallelize(program, &flags.with_compiled_eval(true));
-    let flagged = parallelize(
+    let scalar = parallelize(program, &flags.with_eval_tier(EvalTier::Compiled));
+    let small = parallelize(
         program,
-        &flags.with_compiled_eval(true).with_vectorized_eval(true),
+        &flags.with_eval_tier(EvalTier::Vectorized(BatchConfig::new(64))),
     );
-    assert!(
-        flagged.vectorized_eval && !scalar.vectorized_eval,
-        "{what}: vectorized_eval flag not plumbed through"
-    );
+    let default = parallelize(program, &flags.with_vectorized_eval(true));
     for engine in [Engine::sparrow(), Engine::flamingo()] {
         let base = engine.run(&scalar, catalog).expect(what);
-        let knob = engine.clone().with_vectorized_eval(BatchConfig::new(64));
-        let a = knob.run(&scalar, catalog).expect(what);
-        let b = engine.run(&flagged, catalog).expect(what);
-        for (route, r) in [("engine knob", &a), ("program flag", &b)] {
-            assert_eq!(r.writes, base.writes, "{what}/{route}: sink rows differ");
-            assert_eq!(r.scalars, base.scalars, "{what}/{route}: scalars differ");
+        let a = engine.run(&small, catalog).expect(what);
+        let b = engine.run(&default, catalog).expect(what);
+        for (leg, r) in [("batch 64", &a), ("default batch", &b)] {
+            assert_eq!(r.writes, base.writes, "{what}/{leg}: sink rows differ");
+            assert_eq!(r.scalars, base.scalars, "{what}/{leg}: scalars differ");
             assert_eq!(
                 without_vec_telemetry(&r.stats),
                 base.stats,
-                "{what}/{route}: cost-model counters moved under vectorization"
+                "{what}/{leg}: cost-model counters moved under vectorization"
             );
             assert_eq!(
                 r.stats.simulated_secs.to_bits(),
                 base.stats.simulated_secs.to_bits(),
-                "{what}/{route}: simulated time not bit-identical"
+                "{what}/{leg}: simulated time not bit-identical"
             );
         }
         // No silent slow paths, no silent no-ops: with the tier on, every
@@ -111,7 +101,7 @@ fn assert_vectorized_invariant(
         // The specialization decision is taken on the driver from a
         // deterministic sample, so the telemetry itself must replay
         // bit-identically.
-        let a2 = knob.run(&scalar, catalog).expect(what);
+        let a2 = engine.run(&small, catalog).expect(what);
         assert_eq!(
             a.stats, a2.stats,
             "{what}: vectorization telemetry not reproducible"
@@ -206,6 +196,10 @@ fn vectorized_counters_replay_bit_identically_under_chaos_and_skew() {
     let program = groupagg::program();
     let catalog = groupagg::catalog(4_000, 100, KeyDistribution::Zipf(1.2), 42);
     let compiled = parallelize(&program, &OptimizerFlags::all());
+    let vectorized = parallelize(
+        &program,
+        &OptimizerFlags::all().with_eval_tier(EvalTier::Vectorized(BatchConfig::new(128))),
+    );
     for base in [Engine::sparrow(), Engine::flamingo()] {
         let hostile = base
             .with_faults(FaultConfig::chaos(1729))
@@ -213,12 +207,11 @@ fn vectorized_counters_replay_bit_identically_under_chaos_and_skew() {
         let scalar = hostile
             .run(&compiled, &catalog)
             .expect("scalar under chaos");
-        let vec_engine = hostile.with_vectorized_eval(BatchConfig::new(128));
-        let a = vec_engine
-            .run(&compiled, &catalog)
+        let a = hostile
+            .run(&vectorized, &catalog)
             .expect("vectorized under chaos");
-        let b = vec_engine
-            .run(&compiled, &catalog)
+        let b = hostile
+            .run(&vectorized, &catalog)
             .expect("vectorized under chaos, replayed");
         assert_eq!(a.writes, scalar.writes, "chaos+skew: sink rows differ");
         assert_eq!(a.scalars, scalar.scalars, "chaos+skew: scalars differ");

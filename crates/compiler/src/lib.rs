@@ -55,7 +55,7 @@ pub use bag_expr::{BagExpr, BagLambda};
 pub use compiled::{compile_bag_body, compile_lambda, CompiledBag, CompiledEval, Machine};
 pub use expr::{BinOp, BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr, UnOp};
 pub use interp::{Catalog, Interp, RunOutput};
-pub use pipeline::{parallelize, CompiledProgram, OptimizationReport, OptimizerFlags};
+pub use pipeline::{parallelize, CompiledProgram, EvalTier, OptimizationReport, OptimizerFlags};
 pub use plan::Plan;
 pub use program::{Program, RValue, Stmt};
 pub use value::{Value, ValueError};

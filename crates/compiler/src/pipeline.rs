@@ -23,6 +23,30 @@ use crate::lower::{lower_bag, lower_fold};
 use crate::physical;
 use crate::plan::Plan;
 use crate::program::{Program, RValue, Stmt};
+use crate::vectorized::BatchConfig;
+
+/// How engines evaluate UDF lambdas. This is an *evaluation tier*, not one
+/// of the paper's plan optimizations: every tier produces the same plan, the
+/// same rows and errors in the same order, and the same deterministic
+/// cost-model counters. [`parallelize`] copies it into the
+/// [`CompiledProgram`], and the engine runs whatever tier the program names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EvalTier {
+    /// The reference tree-walking interpreter ([`crate::interp`]).
+    Interp,
+    /// Slot-compiled evaluators ([`crate::compiled`]) — the default.
+    Compiled,
+    /// Typed columnar batch kernels ([`crate::vectorized`]) on top of the
+    /// compiled tier, in batches of `batch_rows` rows. Fully
+    /// type-specializable Map/Filter/Fold-element bodies, fused Map/Filter
+    /// pipelines and wide-operator key extraction run batch-at-a-time;
+    /// every operator or key site that stays scalar is counted
+    /// (`vector_fallbacks` / `key_path_fallbacks` in the engine's stats). A
+    /// batch that errors or does not match the specialized input shape is
+    /// re-run row-at-a-time through the compiled tier, so the first error
+    /// in evaluation order reproduces bit-identically.
+    Vectorized(BatchConfig),
+}
 
 /// Individual toggles for every optimization in the pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,22 +69,10 @@ pub struct OptimizerFlags {
     /// single per-partition [`Plan::Pipeline`] passes with no intermediate
     /// materialization.
     pub pipeline_fusion: bool,
-    /// Evaluate UDF lambdas through slot-compiled evaluators
-    /// ([`crate::compiled`]) instead of the reference tree-walking
-    /// interpreter. This is an engine *evaluation tier*, not one of the
-    /// paper's plan optimizations: it changes no plan, no rows, and no
-    /// deterministic cost-model counter, so it stays on even in
-    /// [`OptimizerFlags::none`] and exists purely as an escape hatch.
-    pub compiled_eval: bool,
-    /// Evaluate fully type-specializable Map/Filter/Fold bodies through
-    /// typed columnar batch kernels ([`crate::vectorized`]) on top of the
-    /// compiled tier. Like [`OptimizerFlags::compiled_eval`] this is an
-    /// engine *evaluation tier*: rows, errors, and every deterministic
-    /// cost-model counter are unchanged. Off by default (opt-in via
-    /// `Engine::with_vectorized_eval` or
-    /// [`OptimizerFlags::with_vectorized_eval`]); requires
-    /// `compiled_eval` to take effect.
-    pub vectorized_eval: bool,
+    /// The UDF evaluation tier. Not a plan optimization, so it is
+    /// [`EvalTier::Compiled`] in both [`OptimizerFlags::all`] and
+    /// [`OptimizerFlags::none`].
+    pub eval_tier: EvalTier,
 }
 
 impl OptimizerFlags {
@@ -74,9 +86,7 @@ impl OptimizerFlags {
             caching: true,
             partition_pulling: true,
             pipeline_fusion: true,
-            compiled_eval: true,
-            // Opt-in tier: off until explicitly requested.
-            vectorized_eval: false,
+            eval_tier: EvalTier::Compiled,
         }
     }
 
@@ -91,9 +101,7 @@ impl OptimizerFlags {
             caching: false,
             partition_pulling: false,
             pipeline_fusion: false,
-            // Not a plan optimization — execution-tier toggle, see above.
-            compiled_eval: true,
-            vectorized_eval: false,
+            eval_tier: EvalTier::Compiled,
         }
     }
 
@@ -149,16 +157,20 @@ impl OptimizerFlags {
         self
     }
 
-    /// Builder-style toggle for the compiled-evaluator escape hatch.
-    pub fn with_compiled_eval(mut self, on: bool) -> Self {
-        self.compiled_eval = on;
+    /// Selects the UDF evaluation tier.
+    pub fn with_eval_tier(mut self, tier: EvalTier) -> Self {
+        self.eval_tier = tier;
         self
     }
 
-    /// Builder-style toggle for the vectorized batch-evaluation tier.
-    pub fn with_vectorized_eval(mut self, on: bool) -> Self {
-        self.vectorized_eval = on;
-        self
+    /// Shorthand for [`EvalTier::Vectorized`] with the default batch size
+    /// (`true`) or [`EvalTier::Compiled`] (`false`).
+    pub fn with_vectorized_eval(self, on: bool) -> Self {
+        self.with_eval_tier(if on {
+            EvalTier::Vectorized(BatchConfig::default())
+        } else {
+            EvalTier::Compiled
+        })
     }
 }
 
@@ -343,13 +355,9 @@ pub struct CompiledProgram {
     pub body: Vec<CStmt>,
     /// Which optimizations fired.
     pub report: OptimizationReport,
-    /// Whether engines should evaluate UDFs through slot-compiled
-    /// evaluators (see [`OptimizerFlags::compiled_eval`]).
-    pub compiled_eval: bool,
-    /// Whether engines should batch-evaluate specializable UDF bodies
-    /// through typed columnar kernels (see
-    /// [`OptimizerFlags::vectorized_eval`]).
-    pub vectorized_eval: bool,
+    /// The tier engines evaluate UDFs with (from
+    /// [`OptimizerFlags::eval_tier`]).
+    pub eval_tier: EvalTier,
 }
 
 /// Compiles a program — the `parallelize { … }` entry point.
@@ -377,8 +385,7 @@ pub fn parallelize(p: &Program, flags: &OptimizerFlags) -> CompiledProgram {
     CompiledProgram {
         body,
         report,
-        compiled_eval: flags.compiled_eval,
-        vectorized_eval: flags.vectorized_eval,
+        eval_tier: flags.eval_tier,
     }
 }
 
@@ -706,5 +713,53 @@ fn substitute_ref_in_stmt(s: &mut Stmt, name: &str, def: &BagExpr) {
         Stmt::Write { bag, .. } => *bag = bag.substitute_ref(name, def),
         Stmt::StatefulCreate { init, .. } => *init = init.substitute_ref(name, def),
         Stmt::StatefulUpdate { messages, .. } => *messages = messages.substitute_ref(name, def),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn presets_default_to_the_compiled_tier() {
+        assert_eq!(OptimizerFlags::all().eval_tier, EvalTier::Compiled);
+        assert_eq!(OptimizerFlags::none().eval_tier, EvalTier::Compiled);
+        assert_eq!(OptimizerFlags::default().eval_tier, EvalTier::Compiled);
+    }
+
+    #[test]
+    fn vectorized_shorthand_maps_to_tiers() {
+        let flags = OptimizerFlags::all();
+        assert_eq!(
+            flags.with_vectorized_eval(true).eval_tier,
+            EvalTier::Vectorized(BatchConfig::default())
+        );
+        assert_eq!(
+            flags.with_vectorized_eval(false).eval_tier,
+            EvalTier::Compiled
+        );
+        assert_eq!(
+            flags
+                .with_eval_tier(EvalTier::Interp)
+                .with_vectorized_eval(false)
+                .eval_tier,
+            EvalTier::Compiled
+        );
+    }
+
+    #[test]
+    fn parallelize_copies_the_tier_into_the_program() {
+        let p = Program::new(vec![Stmt::write("out", BagExpr::read("xs"))]);
+        for tier in [
+            EvalTier::Interp,
+            EvalTier::Compiled,
+            EvalTier::Vectorized(BatchConfig::default()),
+            EvalTier::Vectorized(BatchConfig::new(64)),
+        ] {
+            for flags in [OptimizerFlags::all(), OptimizerFlags::none()] {
+                let prog = parallelize(&p, &flags.with_eval_tier(tier));
+                assert_eq!(prog.eval_tier, tier);
+            }
+        }
     }
 }

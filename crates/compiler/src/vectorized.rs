@@ -555,7 +555,7 @@ pub struct VectorScratch {
 ///
 /// Purely a function of the programs, their bound captures, and the sample
 /// row's *shape* — so given deterministic data, specialization decisions
-/// replay identically across runs, thread counts, and dispatch modes.
+/// replay identically across runs and thread counts.
 pub fn specialize(stages: &[VecStageSpec<'_>], sample: &Value) -> Option<VectorPipeline> {
     specialize_sampled(stages, std::slice::from_ref(sample))
 }

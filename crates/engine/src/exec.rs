@@ -21,7 +21,7 @@ use emma_compiler::bag_expr::BagExpr;
 use emma_compiler::compiled::{self, CompiledBag, CompiledEval, Machine};
 use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{self, Catalog, Env};
-use emma_compiler::pipeline::{AuxDef, CRValue, CStmt, CompiledProgram};
+use emma_compiler::pipeline::{AuxDef, CRValue, CStmt, CompiledProgram, EvalTier};
 use emma_compiler::plan::{JoinKind, JoinStrategy, Plan, SkewEligibility};
 use emma_compiler::value::{Value, ValueError};
 use emma_compiler::vectorized::{self, BatchConfig, VecStageSpec, VectorPipeline};
@@ -33,7 +33,7 @@ use crate::dataset::{value_hash, Partitioned, Partitioning};
 use crate::fault::{self, CheckpointConfig, FaultConfig, SpeculationPolicy, TaskError, TaskFault};
 use crate::metrics::{ExecError, ExecStats};
 use crate::ordmap::InsertionMap;
-use crate::pool::{Parallelism, ParallelismMode};
+use crate::pool::Parallelism;
 use crate::skew::{self, SkewConfig, SplitKind, SplitPlan};
 
 /// A lazily forced, optionally memoized dataflow binding — the paper's
@@ -142,10 +142,6 @@ pub struct Engine {
     pub timeout_secs: Option<f64>,
     /// Driver loop-iteration safety cap.
     pub max_loop_iters: usize,
-    /// How per-partition work maps onto OS threads (see
-    /// [`ParallelismMode`]). The default routes everything through one
-    /// persistent worker pool per run.
-    pub parallelism_mode: ParallelismMode,
     /// Worker-thread count override; `None` probes `available_parallelism`
     /// once per run.
     pub worker_threads: Option<usize>,
@@ -163,12 +159,6 @@ pub struct Engine {
     /// consults partition sizes and leaves every counter bit-identical to an
     /// engine without the feature.
     pub skew: Option<SkewConfig>,
-    /// Opt-in vectorized batch evaluation of fully type-specializable UDF
-    /// bodies; `None` (the default) never consults the batch tier and leaves
-    /// every counter bit-identical to an engine without the feature. Only
-    /// takes effect when the program runs the compiled tier
-    /// (`CompiledProgram::compiled_eval`).
-    pub vectorized: Option<BatchConfig>,
     /// Opt-in cross-session result cache installed by the service layer
     /// ([`crate::service::SessionService`]); `None` (the default) never
     /// consults it and leaves every counter bit-identical to an engine
@@ -191,13 +181,11 @@ impl Engine {
             personality,
             timeout_secs: None,
             max_loop_iters: 100_000,
-            parallelism_mode: ParallelismMode::Pool,
             worker_threads: None,
             parallelism_threshold: DEFAULT_PARALLELISM_THRESHOLD,
             faults: None,
             checkpoints: None,
             skew: None,
-            vectorized: None,
             shared_cache: None,
             shared_session: 0,
         }
@@ -223,13 +211,6 @@ impl Engine {
     /// never fire, turning a nonsense configuration into an unlimited one.
     pub fn with_timeout(mut self, secs: f64) -> Self {
         self.timeout_secs = Some(secs);
-        self
-    }
-
-    /// Selects the thread-dispatch mode (persistent pool vs. the legacy
-    /// per-operator thread scopes).
-    pub fn with_parallelism_mode(mut self, mode: ParallelismMode) -> Self {
-        self.parallelism_mode = mode;
         self
     }
 
@@ -273,39 +254,13 @@ impl Engine {
     /// sub-partitions by a secondary hash, so downstream wide operators see
     /// a balanced layout. Split decisions are pure functions of the observed
     /// partition sizes and the config, so schedules replay bit-identically
-    /// across thread counts and dispatch modes; the secondary shuffles and
-    /// build-side replication a split requires are charged to the simulated
-    /// clock. Off by default — without a config, no partition sizes are
+    /// across thread counts; the secondary shuffles and build-side
+    /// replication a split requires are charged to the simulated clock.
+    /// Off by default — without a config, no partition sizes are
     /// inspected and every counter stays bit-identical to an engine without
     /// the feature.
     pub fn with_skew_splitting(mut self, cfg: SkewConfig) -> Self {
         self.skew = Some(cfg);
-        self
-    }
-
-    /// Enables the vectorized batch-evaluation tier: fully
-    /// type-specializable Map/Filter/Fold-element bodies (and fused
-    /// Map/Filter pipelines) are lowered to typed `i64`/`f64`/`bool`/string
-    /// column kernels and evaluated over reusable scratch buffers in batches
-    /// of `cfg.batch_rows` rows; every operator whose program resists static
-    /// typing falls back to the scalar compiled tier and is counted in
-    /// [`ExecStats::vector_fallbacks`] — no silent slow paths. Wide-operator
-    /// key extraction (`groupBy`/`aggBy`/`distinct` routing, join build and
-    /// residual-free probe sides) batches the same way, with refusals and
-    /// scalar-by-design sites counted in
-    /// [`ExecStats::key_path_fallbacks`]. Rows, errors, and error order are
-    /// preserved exactly: a batch that produces any error (or does not
-    /// conform to the specialized input shape) is re-run row-at-a-time
-    /// through the scalar tier, so the first error in evaluation order
-    /// reproduces bit-identically. Specialization is decided on the driver
-    /// from a prefix of the first non-empty input partition (shape from the
-    /// first row; the extra rows only inform string dictionary encoding), so
-    /// fallback counts replay bit-identically across thread counts and
-    /// dispatch modes. Off by default — without a config the batch tier is
-    /// never consulted and every counter stays bit-identical to an engine
-    /// without the feature.
-    pub fn with_vectorized_eval(mut self, cfg: BatchConfig) -> Self {
-        self.vectorized = Some(cfg);
         self
     }
 
@@ -369,20 +324,12 @@ impl Engine {
             children_wall_inclusive: 0.0,
             // One worker pool (and one `available_parallelism` probe) for
             // the whole run.
-            par: Parallelism::new(
-                self.parallelism_mode,
-                self.worker_threads,
-                self.parallelism_threshold,
-            ),
-            compiled: prog.compiled_eval,
-            // The batch tier sits on top of the compiled tier: active only
-            // when compiled evaluation is, from either the engine knob or
-            // the program flag (knob wins on batch size).
-            vectorized: if prog.compiled_eval {
-                self.vectorized
-                    .or_else(|| prog.vectorized_eval.then(BatchConfig::default))
-            } else {
-                None
+            par: Parallelism::new(self.worker_threads, self.parallelism_threshold),
+            // The evaluation tier is the program's: `parallelize` decided it.
+            compiled: prog.eval_tier != EvalTier::Interp,
+            vectorized: match prog.eval_tier {
+                EvalTier::Vectorized(cfg) => Some(cfg),
+                _ => None,
             },
             lam_cache: HashMap::new(),
             bag_cache: HashMap::new(),
@@ -602,8 +549,8 @@ struct Session<'a> {
     /// Wall-clock counterpart of `children_inclusive` (drives
     /// `stats.op_wall_secs`).
     children_wall_inclusive: f64,
-    /// Per-run parallel-execution context: dispatch mode, cached thread
-    /// count, row gate, and (in pool mode) the persistent worker pool.
+    /// Per-run parallel-execution context: row gate and the persistent
+    /// worker pool.
     par: Parallelism,
     /// Whether UDFs run through slot-compiled evaluators
     /// ([`emma_compiler::compiled`]) instead of the reference interpreter.
@@ -730,19 +677,13 @@ impl<'a> Session<'a> {
     ///    backoff is charged, so a budget-exhausted run never pays for a
     ///    wave that will not start and `ExecError::Timeout::at_secs`
     ///    excludes it.
-    fn run_tasks<T, F>(
-        &mut self,
-        wide: bool,
-        n: usize,
-        total_rows: u64,
-        f: F,
-    ) -> Result<Vec<T>, ExecError>
+    fn run_tasks<T, F>(&mut self, n: usize, total_rows: u64, f: F) -> Result<Vec<T>, ExecError>
     where
         T: Send,
         F: Fn(usize) -> Result<T, ValueError> + Sync,
     {
         let Some(cfg) = self.fault_cfg() else {
-            let settled = self.par.run_settled(wide, n, total_rows, &f);
+            let settled = self.par.run_settled(n, total_rows, &f);
             let mut out = Vec::with_capacity(n);
             for s in settled {
                 match s {
@@ -783,14 +724,14 @@ impl<'a> Session<'a> {
                 total_rows * pending.len() as u64 / n.max(1) as u64
             };
             let wave_start = (attempt > 0).then(std::time::Instant::now);
-            let settled =
-                self.par
-                    .run_settled(wide, pending.len(), wave_rows, |wi| match fates[wi] {
-                        // A killed task never runs its body — its partition's
-                        // work is lost and must be redone on retry.
-                        TaskFault::Fail => Err(TaskError::Injected),
-                        _ => f(pending[wi]).map_err(TaskError::Eval),
-                    });
+            let settled = self
+                .par
+                .run_settled(pending.len(), wave_rows, |wi| match fates[wi] {
+                    // A killed task never runs its body — its partition's
+                    // work is lost and must be redone on retry.
+                    TaskFault::Fail => Err(TaskError::Injected),
+                    _ => f(pending[wi]).map_err(TaskError::Eval),
+                });
             if let Some(t0) = wave_start {
                 self.stats.retry_wall_secs += t0.elapsed().as_secs_f64();
             }
@@ -903,8 +844,7 @@ impl<'a> Session<'a> {
 
     /// [`run_tasks`](Self::run_tasks) specialized to narrow row-transform
     /// operators: applies `f` to every partition, returning the transformed
-    /// partitions in order (the fault-tolerant analogue of
-    /// [`Parallelism::run_rows`]).
+    /// partitions in order.
     fn run_task_rows<F>(
         &mut self,
         parts: &[Arc<Vec<Value>>],
@@ -914,9 +854,7 @@ impl<'a> Session<'a> {
     where
         F: Fn(&[Value]) -> Result<Vec<Value>, ValueError> + Sync,
     {
-        self.run_tasks(false, parts.len(), total_rows, |i| {
-            f(&parts[i]).map(Arc::new)
-        })
+        self.run_tasks(parts.len(), total_rows, |i| f(&parts[i]).map(Arc::new))
     }
 
     // ------------------------------------------------------ UDF preparation
@@ -992,7 +930,7 @@ impl<'a> Session<'a> {
     /// row defines the column shapes, the rest inform the string-column
     /// dictionary-encoding decision. The partition layout is a pure function
     /// of the simulated cluster, so the decision (and `vector_fallbacks`)
-    /// replays bit-identically across thread counts and dispatch modes.
+    /// replays bit-identically across thread counts.
     fn try_vectorize(
         &mut self,
         specs: &[VecStageSpec<'_>],
@@ -1431,7 +1369,7 @@ impl<'a> Session<'a> {
                 let parts = if let Some((vp, batch_rows)) = vec_run {
                     let stages = [PreparedStage::Map(f_prep)];
                     let bases = std::slice::from_ref(&base);
-                    let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
+                    let results = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
                         run_vectorized_partition(
                             &d.parts[pi],
                             &vp,
@@ -1486,7 +1424,7 @@ impl<'a> Session<'a> {
                 let parts = if let Some((vp, batch_rows)) = vec_run {
                     let stages = [PreparedStage::Filter(p_prep)];
                     let bases = std::slice::from_ref(&base);
-                    let results = self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
+                    let results = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
                         run_vectorized_partition(
                             &d.parts[pi],
                             &vp,
@@ -1537,7 +1475,7 @@ impl<'a> Session<'a> {
                 let base = self.eval_base_for_bag_exprs(&[body], env)?;
                 let b_prep = self.prepare_bag(param, body, &base);
                 let catalog = self.catalog;
-                let results = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
+                let results = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
                     let mut out = Vec::new();
                     let mut cx = b_prep.ctx(&base);
                     let mut produced = 0u64;
@@ -1584,7 +1522,7 @@ impl<'a> Session<'a> {
                     None => None,
                 };
                 let partials = if let Some((vp, batch_rows)) = vec_run {
-                    let results = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
+                    let results = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
                         fold_vectorized_partition(
                             &d.parts[pi],
                             &vp,
@@ -1604,7 +1542,7 @@ impl<'a> Session<'a> {
                     }
                     partials
                 } else {
-                    self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
+                    self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
                         let mut scx = sng_prep.ctx(&base);
                         let mut ucx = uni_prep.ctx(&base);
                         let mut acc = zero.clone();
@@ -1956,17 +1894,16 @@ impl<'a> Session<'a> {
                     }
                 };
                 let results = if let Some((vp, batch_rows)) = vec_run {
-                    let vec_results =
-                        self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
-                            run_vectorized_partition(
-                                &d.parts[pi],
-                                &vp,
-                                batch_rows,
-                                &prepared,
-                                &bases,
-                                catalog,
-                            )
-                        })?;
+                    let vec_results = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
+                        run_vectorized_partition(
+                            &d.parts[pi],
+                            &vp,
+                            batch_rows,
+                            &prepared,
+                            &bases,
+                            catalog,
+                        )
+                    })?;
                     let mut results = Vec::with_capacity(vec_results.len());
                     for (rows, counts, nvec, nbatches) in vec_results {
                         self.stats.rows_vectorized += nvec;
@@ -1977,7 +1914,7 @@ impl<'a> Session<'a> {
                     }
                     results
                 } else {
-                    self.run_tasks(false, d.parts.len(), d.total_rows(), |pi| {
+                    self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
                         run_pipeline_partition(
                             &d.parts[pi],
                             &prepared,
@@ -2199,7 +2136,7 @@ impl<'a> Session<'a> {
         let catalog = self.catalog;
         let probe_rows: u64 =
             lwork.total_rows() + rrows_by_part.iter().map(|p| p.len() as u64).sum::<u64>();
-        let outs = self.run_tasks(true, lwork.parts.len(), probe_rows, |pi| {
+        let outs = self.run_tasks(lwork.parts.len(), probe_rows, |pi| {
             let mut lcx = lk_prep.ctx(&base);
             let mut rescx = res_prep.as_ref().map(|p| p.ctx(&base));
             let (mut nvec, mut nbatches) = (0u64, 0u64);
@@ -2348,7 +2285,7 @@ impl<'a> Session<'a> {
         // Keys rode along with the shuffle, so no UDF re-evaluation.
         type PartialGroups = Vec<(Value, Vec<Value>)>;
         let mut grouped: Vec<PartialGroups> =
-            self.run_tasks(true, shuffled.parts.len(), shuffled.total_rows(), |pi| {
+            self.run_tasks(shuffled.parts.len(), shuffled.total_rows(), |pi| {
                 let mut order: Vec<Value> = Vec::new();
                 let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
                 for (ri, row) in shuffled.parts[pi].iter().enumerate() {
@@ -2473,7 +2410,7 @@ impl<'a> Session<'a> {
         // aborted chunk replays interleaved (key, sng, uni per row), so a
         // key error reproduces in its exact interleaving position.
         let catalog = self.catalog;
-        let partial_lists = self.run_tasks(true, d.parts.len(), d.total_rows(), |pi| {
+        let partial_lists = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
             let mut cx = sng_prep.ctx(&base);
             let mut ucx = uni_prep.ctx(&base);
             let mut accs: InsertionMap<Value, (u64, Value)> = InsertionMap::new();
@@ -2605,28 +2542,27 @@ impl<'a> Session<'a> {
 
         // Merge phase: same insertion-ordered per-partition reduction,
         // looking partials up by their carried hashes.
-        let merged_lists =
-            self.run_tasks(true, shuffled.parts.len(), shuffled.total_rows(), |pi| {
-                let mut ucx = uni_prep.ctx(&base);
-                let mut accs: InsertionMap<Value, Value> = InsertionMap::new();
-                for (row, &h) in shuffled.parts[pi].iter().zip(&hash_b[pi]) {
-                    let k = row.field(0)?.clone();
-                    let a = row.field(1)?.clone();
-                    match accs.get_mut_hashed(h, &k) {
-                        Some(acc) => {
-                            let merged = uni_prep.call(&[acc.clone(), a], &mut ucx, catalog)?;
-                            *acc = merged;
-                        }
-                        None => {
-                            accs.insert_hashed(h, &k, || a);
-                        }
+        let merged_lists = self.run_tasks(shuffled.parts.len(), shuffled.total_rows(), |pi| {
+            let mut ucx = uni_prep.ctx(&base);
+            let mut accs: InsertionMap<Value, Value> = InsertionMap::new();
+            for (row, &h) in shuffled.parts[pi].iter().zip(&hash_b[pi]) {
+                let k = row.field(0)?.clone();
+                let a = row.field(1)?.clone();
+                match accs.get_mut_hashed(h, &k) {
+                    Some(acc) => {
+                        let merged = uni_prep.call(&[acc.clone(), a], &mut ucx, catalog)?;
+                        *acc = merged;
+                    }
+                    None => {
+                        accs.insert_hashed(h, &k, || a);
                     }
                 }
-                Ok(accs
-                    .into_iter()
-                    .map(|(k, acc)| Value::tuple(vec![k, acc]))
-                    .collect::<Vec<_>>())
-            })?;
+            }
+            Ok(accs
+                .into_iter()
+                .map(|(k, acc)| Value::tuple(vec![k, acc]))
+                .collect::<Vec<_>>())
+        })?;
         let parts: Vec<Arc<Vec<Value>>> = merged_lists.into_iter().map(Arc::new).collect();
         self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
         self.stats.stages += 1;
@@ -2804,8 +2740,8 @@ impl<'a> Session<'a> {
 
     /// Consults the skew config about the observed per-partition row counts:
     /// tracks the pre-split skew ratio and returns the split plan, if any.
-    /// Pure in `(config, sizes)` — thread count and dispatch mode never
-    /// enter, so schedules replay bit-identically.
+    /// Pure in `(config, sizes)` — the thread count never enters, so
+    /// schedules replay bit-identically.
     fn plan_bucket_splits(&mut self, kind: Option<SplitKind>, sizes: &[u64]) -> Option<SplitPlan> {
         let cfg = self.engine.skew?;
         kind?;
@@ -2871,7 +2807,7 @@ impl<'a> Session<'a> {
         // work is "lost"), so the drain happens exactly once — on the first
         // attempt that actually executes.
         let catalog = self.catalog;
-        let bucket_lists = self.run_tasks(true, nsrc, total_rows, |pi| {
+        let bucket_lists = self.run_tasks(nsrc, total_rows, |pi| {
             let mut rows_b: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
             let mut keys_b: Vec<Vec<(u64, Value)>> = (0..parts_n).map(|_| Vec::new()).collect();
             let rows: Vec<Value> = match &sources[pi] {
@@ -3006,8 +2942,7 @@ impl<'a> Session<'a> {
             // The lookup/insert outcome is a pure function of the cache
             // contents at session start — which the service's driver-ordered
             // scheduler makes a pure function of the submission sequence —
-            // so runs replay bit-identically across thread counts and
-            // dispatch modes.
+            // so runs replay bit-identically across thread counts.
             let shared = match (&self.engine.shared_cache, thunk.evictable) {
                 (Some(cache), true) => crate::service::shareable_fingerprint(&thunk.plan)
                     .map(|fp| (Arc::clone(cache), fp)),
@@ -3046,7 +2981,7 @@ impl<'a> Session<'a> {
     /// driver-ordered (the `checkpoint_events` counter plus, for the
     /// cost-driven policy, the driver-ordered eviction counters), so the
     /// checkpoint placement — like every other fault decision — is
-    /// independent of thread count and dispatch mode. The write is charged
+    /// independent of the thread count. The write is charged
     /// at full storage bandwidth and shows up in `bytes_written_storage`,
     /// which is the price paid for O(delta) recovery.
     ///
@@ -3338,8 +3273,8 @@ const SPECIALIZE_SAMPLE_ROWS: usize = 64;
 
 /// The driver-side specialization sample: a prefix (up to
 /// [`SPECIALIZE_SAMPLE_ROWS`] rows) of the first non-empty partition.
-/// Deterministic in the simulated partition layout — thread count and
-/// dispatch mode never enter. `None` when every partition is empty.
+/// Deterministic in the simulated partition layout — the thread count never
+/// enters. `None` when every partition is empty.
 fn sample_rows(parts: &[Arc<Vec<Value>>]) -> Option<&[Value]> {
     sample_rows_of(parts.iter().map(|p| p.as_slice()))
 }

@@ -15,7 +15,7 @@
 //! attempt number; a cache-eviction draw depends only on the seed and the
 //! driver-ordered eviction-event number. No decision ever reads shared
 //! mutable RNG state from inside a worker task, so the failure schedule is
-//! identical across thread counts, dispatch modes, and runs — two runs with
+//! identical across thread counts and runs — two runs with
 //! the same seed produce bit-identical [`crate::metrics::ExecStats`],
 //! including `simulated_secs`.
 //!
@@ -91,7 +91,7 @@ pub struct FaultConfig {
 ///
 /// The policy is evaluated per wave from the wave's *injected* delays — a
 /// pure function of the precomputed fate schedule, so it replays identically
-/// across thread counts and dispatch modes.
+/// across thread counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum SpeculationPolicy {
     /// Clone every straggler (the original behavior).

@@ -44,7 +44,7 @@ pub use fault::{
     CheckpointConfig, CheckpointPolicy, CostDrivenConfig, FaultConfig, SpeculationPolicy, TaskFault,
 };
 pub use metrics::{ExecError, ExecStats};
-pub use pool::{ParallelismMode, WorkerPool};
+pub use pool::WorkerPool;
 pub use service::{
     AdmissionDecision, CostEstimate, ServiceConfig, ServiceStats, SessionCacheStats, SessionReport,
     SessionService, SharedCatalogCache,

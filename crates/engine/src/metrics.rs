@@ -109,9 +109,9 @@ pub struct ExecStats {
     /// perfectly balanced; only tracked when skew splitting is configured.
     pub max_skew_ratio: f64,
     /// Rows evaluated through the vectorized columnar batch tier (requires
-    /// `Engine::with_vectorized_eval`); counts each row once per fused
-    /// vectorized operator chain it passed through. Rows replayed through
-    /// the scalar tier after a batch abort are not counted.
+    /// a program compiled with `EvalTier::Vectorized`); counts each row
+    /// once per fused vectorized operator chain it passed through. Rows
+    /// replayed through the scalar tier after a batch abort are not counted.
     pub rows_vectorized: u64,
     /// Columnar batches executed successfully by the vectorized tier.
     pub batches_executed: u64,

@@ -6,15 +6,9 @@
 //! shuffle bucketing, or join probing. This module replaces that with a pool
 //! created **once per `Engine::run`** and shared by every operator of the
 //! run: a fixed set of workers blocked on a job channel, fed batches of
-//! index-addressed tasks.
-//!
-//! Two dispatch modes exist so benchmarks can compare honestly:
-//!
-//! * [`ParallelismMode::Pool`] (the default) routes all per-partition work —
-//!   narrow operators, fused pipelines, fold partials, `aggBy` combiners,
-//!   shuffle bucketing, and join build/probe — through the persistent pool.
-//! * [`ParallelismMode::PerOperator`] reproduces the seed behavior exactly:
-//!   a fresh thread scope per narrow operator, everything else serial.
+//! index-addressed tasks. All per-partition work — narrow operators, fused
+//! pipelines, fold partials, `aggBy` combiners, shuffle bucketing, and join
+//! build/probe — goes through it.
 //!
 //! Determinism: tasks are indexed by partition, results land in
 //! per-partition slots, and error selection takes the **lowest-index**
@@ -28,22 +22,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
-use emma_compiler::value::ValueError;
-
 /// The outcome of one contained task: `Ok` with the closure's value, or the
 /// caught panic payload (same shape as [`std::thread::Result`]).
 pub type Settled<T> = std::thread::Result<T>;
-
-/// How the engine maps per-partition work onto OS threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ParallelismMode {
-    /// Spawn a fresh thread scope per narrow operator; wide operators run
-    /// serially. This is the pre-pool engine behavior, kept as a baseline.
-    PerOperator,
-    /// One persistent worker pool per run; all per-partition work (narrow
-    /// *and* wide operators) is dispatched to it.
-    Pool,
-}
 
 /// One batch of index-addressed tasks submitted to the pool.
 ///
@@ -125,12 +106,6 @@ impl WorkerPool {
         }
     }
 
-    /// The number of pool workers (the submitting thread also participates,
-    /// so up to `size + 1` threads execute a batch).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     /// Runs `f(0..total)` across the pool, blocking until every task has
     /// finished. If any task panicked, re-raises the **lowest-index**
     /// panicking task's original payload (after all tasks settle) via
@@ -210,149 +185,30 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Per-run parallel-execution context: mode, cached thread count, the
-/// row-count gate, and (in pool mode) the persistent pool itself.
+/// Per-run parallel-execution context: the row-count gate and the
+/// persistent pool.
 pub struct Parallelism {
-    mode: ParallelismMode,
-    /// Cached `available_parallelism` (or the configured override) — probed
-    /// once per run instead of once per operator call.
-    threads: usize,
     /// Minimum total row count before an operator goes parallel; below this
     /// the fan-out overhead outweighs the work.
     threshold: u64,
+    /// Spawned once per run from the probed (or configured) thread count;
+    /// `None` with a single thread, where every section runs serially.
     pool: Option<WorkerPool>,
 }
 
 impl Parallelism {
-    /// Builds the context, probing the thread count once and (in pool mode,
-    /// when useful) spawning the persistent pool.
-    pub fn new(mode: ParallelismMode, threads_override: Option<usize>, threshold: u64) -> Self {
+    /// Builds the context, probing the thread count once and (when useful)
+    /// spawning the persistent pool.
+    pub fn new(threads_override: Option<usize>, threshold: u64) -> Self {
         let threads = threads_override.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let pool = match mode {
-            // `threads - 1` workers: the submitting engine thread is the
-            // remaining executor.
-            ParallelismMode::Pool if threads > 1 => Some(WorkerPool::new(threads - 1)),
-            _ => None,
-        };
-        Parallelism {
-            mode,
-            threads,
-            threshold,
-            pool,
-        }
-    }
-
-    /// The cached worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether an operator over `total_rows` rows should fan out at all.
-    fn gate(&self, total_rows: u64) -> bool {
-        self.threads > 1 && total_rows >= self.threshold
-    }
-
-    /// Index-addressed fan-out with per-slot results and lowest-index-wins
-    /// error selection. Runs serially when below the row gate (or in
-    /// per-operator mode without a scope — see `run_rows`).
-    fn map_indexed<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, ValueError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
-    {
-        let slots: Vec<Mutex<Option<Result<T, ValueError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        match &self.pool {
-            Some(pool) => pool.run(n, &|i| {
-                *slots[i].lock().unwrap() = Some(f(i));
-            }),
-            None => {
-                // Per-operator mode reaches `map_indexed` only via
-                // `run_rows`, which provides its own scoped threads; a
-                // missing pool here means single-threaded.
-                for (i, slot) in slots.iter().enumerate() {
-                    *slot.lock().unwrap() = Some(f(i));
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("task slot filled"))
-            .collect()
-    }
-
-    /// Parallel per-partition work for **wide** operators (fold partials,
-    /// `aggBy` combining, shuffle bucketing, join probing). Serial in
-    /// per-operator mode — the seed engine never parallelized these — and
-    /// serial below the row gate.
-    pub fn run_wide<T, F>(&self, n: usize, total_rows: u64, f: F) -> Result<Vec<T>, ValueError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
-    {
-        if self.mode == ParallelismMode::PerOperator || !self.gate(total_rows) {
-            return (0..n).map(f).collect();
-        }
-        self.map_indexed(n, f)
-    }
-
-    /// Parallel index-addressed work for **narrow** (partition-local) passes:
-    /// fans out in *both* modes — per-operator mode spawns the seed's fresh
-    /// thread scope, pool mode dispatches to the persistent pool. Serial
-    /// below the row gate.
-    pub fn run_indexed<T, F>(&self, n: usize, total_rows: u64, f: F) -> Result<Vec<T>, ValueError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ValueError> + Sync,
-    {
-        if !self.gate(total_rows) {
-            return (0..n).map(f).collect();
-        }
-        if self.mode == ParallelismMode::PerOperator {
-            // Seed behavior: a fresh scope per operator call, work-stealing
-            // over partition indices.
-            let threads = self.threads.min(n.max(1));
-            let slots: Vec<Mutex<Option<Result<T, ValueError>>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return;
-                        }
-                        *slots[i].lock().unwrap() = Some(f(i));
-                    });
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("partition slot filled"))
-                .collect();
-        }
-        self.map_indexed(n, f)
-    }
-
-    /// Parallel row-transform for **narrow** operators: applies `f` to every
-    /// partition, returning the transformed partitions in order.
-    pub fn run_rows<F>(
-        &self,
-        parts: &[Arc<Vec<emma_compiler::value::Value>>],
-        total_rows: u64,
-        f: F,
-    ) -> Result<Vec<Arc<Vec<emma_compiler::value::Value>>>, ValueError>
-    where
-        F: Fn(
-                &[emma_compiler::value::Value],
-            ) -> Result<Vec<emma_compiler::value::Value>, ValueError>
-            + Sync,
-    {
-        self.run_indexed(parts.len(), total_rows, |i| f(&parts[i]).map(Arc::new))
+        // `threads - 1` workers: the submitting engine thread is the
+        // remaining executor.
+        let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
+        Parallelism { threshold, pool }
     }
 
     /// Index-addressed fan-out with **per-task panic containment**: every
@@ -362,61 +218,39 @@ impl Parallelism {
     /// down the batch, and the executor decides per slot whether to surface,
     /// convert, or retry.
     ///
-    /// `wide` selects the same serial/parallel policy as
-    /// [`Parallelism::run_wide`] vs. [`Parallelism::run_indexed`]: wide
-    /// operators stay serial in per-operator mode (the seed never
-    /// parallelized them), narrow ones fan out in both modes. Below the row
-    /// gate everything runs serially. The policy only moves work between
-    /// threads — the settled outcomes are identical either way. That
-    /// property is what lets the fault-tolerant executor vary `total_rows`
-    /// per retry wave (gating on the surviving partitions' share of the
-    /// batch) and race speculative task clones settled on the driver,
-    /// without perturbing any deterministic counter.
+    /// Below the row gate (or with a single thread) everything runs
+    /// serially; otherwise the tasks go to the persistent pool. The policy
+    /// only moves work between threads — the settled outcomes are identical
+    /// either way. That property is what lets the fault-tolerant executor
+    /// vary `total_rows` per retry wave (gating on the surviving partitions'
+    /// share of the batch) and race speculative task clones settled on the
+    /// driver, without perturbing any deterministic counter.
     ///
     /// Task count `n` is whatever layout the caller's wave has — under
     /// skew-aware splitting a wide wave carries one task per *sub*-partition
     /// (sum of the split ways), so sub-partitions settle, fail, and retry
     /// individually with no extra plumbing here.
-    pub fn run_settled<T, F>(&self, wide: bool, n: usize, total_rows: u64, f: F) -> Vec<Settled<T>>
+    pub fn run_settled<T, F>(&self, n: usize, total_rows: u64, f: F) -> Vec<Settled<T>>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        // `n <= 1` has nothing to fan out — skip slot/scope setup entirely.
-        let serial =
-            n <= 1 || !self.gate(total_rows) || (wide && self.mode == ParallelismMode::PerOperator);
-        if serial {
-            return (0..n)
-                .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
-                .collect();
-        }
+        let pool = match &self.pool {
+            // `n <= 1` has nothing to fan out — skip slot setup entirely.
+            Some(pool) if n > 1 && total_rows >= self.threshold => pool,
+            _ => {
+                return (0..n)
+                    .map(|i| catch_unwind(AssertUnwindSafe(|| f(i))))
+                    .collect()
+            }
+        };
         let slots: Vec<Mutex<Option<Settled<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let fill = |i: usize| {
-            // Catch inside the fill so the slot-store itself never unwinds;
-            // the pool/scope below therefore cannot observe a panic.
+        // Catch inside the fill so the slot-store itself never unwinds; the
+        // pool therefore cannot observe a panic.
+        pool.run(n, &|i| {
             let outcome = catch_unwind(AssertUnwindSafe(|| f(i)));
             *slots[i].lock().unwrap() = Some(outcome);
-        };
-        match &self.pool {
-            Some(pool) => pool.run(n, &fill),
-            None => {
-                // Per-operator narrow path: fresh scope, work-stealing over
-                // partition indices (same shape as `run_indexed`).
-                let threads = self.threads.min(n.max(1));
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                return;
-                            }
-                            fill(i);
-                        });
-                    }
-                });
-            }
-        }
+        });
         slots
             .into_iter()
             .map(|s| s.into_inner().unwrap().expect("settled slot filled"))
@@ -427,6 +261,7 @@ impl Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emma_compiler::value::{Value, ValueError};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -531,34 +366,27 @@ mod tests {
 
     #[test]
     fn run_settled_contains_panics_per_task() {
-        for (mode, wide) in [
-            (ParallelismMode::Pool, false),
-            (ParallelismMode::Pool, true),
-            (ParallelismMode::PerOperator, false),
-            (ParallelismMode::PerOperator, true),
-        ] {
-            let par = Parallelism::new(mode, Some(4), 0);
-            let settled = par.run_settled(wide, 8, u64::MAX, |i| {
-                if i == 2 || i == 6 {
-                    panic!("task {i} died");
+        let par = Parallelism::new(Some(4), 0);
+        let settled = par.run_settled(8, u64::MAX, |i| {
+            if i == 2 || i == 6 {
+                panic!("task {i} died");
+            }
+            i * 10
+        });
+        assert_eq!(settled.len(), 8);
+        for (i, s) in settled.iter().enumerate() {
+            match s {
+                Ok(v) => {
+                    assert_ne!(i, 2);
+                    assert_ne!(i, 6);
+                    assert_eq!(*v, i * 10);
                 }
-                i * 10
-            });
-            assert_eq!(settled.len(), 8);
-            for (i, s) in settled.iter().enumerate() {
-                match s {
-                    Ok(v) => {
-                        assert_ne!(i, 2);
-                        assert_ne!(i, 6);
-                        assert_eq!(*v, i * 10);
-                    }
-                    Err(p) => {
-                        assert!(i == 2 || i == 6);
-                        assert_eq!(
-                            p.downcast_ref::<String>().unwrap(),
-                            &format!("task {i} died")
-                        );
-                    }
+                Err(p) => {
+                    assert!(i == 2 || i == 6);
+                    assert_eq!(
+                        p.downcast_ref::<String>().unwrap(),
+                        &format!("task {i} died")
+                    );
                 }
             }
         }
@@ -566,32 +394,36 @@ mod tests {
 
     #[test]
     fn wide_errors_pick_lowest_index() {
-        let par = Parallelism::new(ParallelismMode::Pool, Some(4), 0);
-        let r: Result<Vec<u64>, _> = par.run_wide(10, u64::MAX, |i| {
-            if i >= 5 {
-                Err(ValueError::Unknown(format!("fail {i}")))
-            } else {
-                Ok(i as u64)
-            }
-        });
-        assert_eq!(r.unwrap_err(), ValueError::Unknown("fail 5".into()));
+        // The executor surfaces the first `Err` in index order; the settled
+        // vector must keep that order however the pool scheduled the tasks.
+        let par = Parallelism::new(Some(4), 0);
+        for _ in 0..20 {
+            let settled = par.run_settled(10, u64::MAX, |i| {
+                if i >= 5 {
+                    Err(ValueError::Unknown(format!("fail {i}")))
+                } else {
+                    Ok(i as u64)
+                }
+            });
+            let first = settled
+                .into_iter()
+                .map(|s| s.expect("no task panicked"))
+                .collect::<Result<Vec<u64>, _>>();
+            assert_eq!(first.unwrap_err(), ValueError::Unknown("fail 5".into()));
+        }
     }
 
     #[test]
-    fn run_rows_preserves_partition_order() {
-        let par = Parallelism::new(ParallelismMode::Pool, Some(4), 0);
-        let parts: Vec<Arc<Vec<emma_compiler::value::Value>>> = (0..6)
-            .map(|p| {
-                Arc::new(
-                    (0..4)
-                        .map(|i| emma_compiler::value::Value::Int(p * 10 + i))
-                        .collect::<Vec<_>>(),
-                )
-            })
+    fn run_settled_preserves_partition_order() {
+        let par = Parallelism::new(Some(4), 0);
+        let parts: Vec<Arc<Vec<Value>>> = (0..6)
+            .map(|p| Arc::new((0..4).map(|i| Value::Int(p * 10 + i)).collect::<Vec<_>>()))
             .collect();
-        let out = par
-            .run_rows(&parts, u64::MAX, |rows| Ok(rows.to_vec()))
-            .unwrap();
+        let out: Vec<Arc<Vec<Value>>> = par
+            .run_settled(parts.len(), u64::MAX, |i| Arc::new(parts[i].to_vec()))
+            .into_iter()
+            .map(|s| s.expect("no task panicked"))
+            .collect();
         assert_eq!(out.len(), 6);
         for (a, b) in out.iter().zip(&parts) {
             assert_eq!(a, b);

@@ -22,7 +22,7 @@
 //!   strictly FIFO as budget frees up, so given the same submission
 //!   sequence the per-session results, [`ExecStats`], admission decisions,
 //!   and the aggregate sim clock replay bit-identically across 1/2/4
-//!   worker threads and both dispatch modes — the same determinism
+//!   worker threads — the same determinism
 //!   contract every prior subsystem (faults, skew, checkpoints,
 //!   vectorization) upholds. Parallelism lives *inside* each
 //!   [`Engine::run`]; serializing the session order is what keeps the

@@ -9,10 +9,9 @@
 //! layout.
 //!
 //! The decision is a pure function of the observed partition sizes and the
-//! [`SkewConfig`]: no randomness, no clocks, no dependence on thread count or
-//! dispatch mode. The same sizes always produce the same [`SplitPlan`], so
-//! schedules replay bit-identically across `1/2/4` threads and both dispatch
-//! modes. How split rows are *merged* back is the consuming operator's
+//! [`SkewConfig`]: no randomness, no clocks, no dependence on thread count.
+//! The same sizes always produce the same [`SplitPlan`], so schedules replay
+//! bit-identically across `1/2/4` threads. How split rows are *merged* back is the consuming operator's
 //! business (see `exec.rs`): `aggBy` flows sub-partitions through its
 //! existing partial/merge combiner, `groupBy` runs a two-phase
 //! local-group/merge, the repartition join replicates the build partition

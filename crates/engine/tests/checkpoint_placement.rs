@@ -10,8 +10,7 @@
 //!    the modulo.
 //! 2. **Cost-driven placement is a pure function of driver-ordered state**:
 //!    the persisted set, both placement counters, and the simulated clock
-//!    replay bit-identically across 1/2/4 worker threads, both dispatch
-//!    modes, and chaos on/off.
+//!    replay bit-identically across 1/2/4 worker threads and chaos on/off.
 //! 3. **The budget auto-tunes with eviction risk**: zero risk ⇒ zero budget
 //!    ⇒ nothing persisted (a checkpoint that can never be restored is pure
 //!    write cost); full risk ⇒ the budget opens up.
@@ -30,9 +29,7 @@ use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_engine::cluster::{ClusterSpec, Personality};
 use emma_engine::skew::SkewConfig;
-use emma_engine::{
-    CheckpointConfig, CheckpointPolicy, CostDrivenConfig, Engine, FaultConfig, ParallelismMode,
-};
+use emma_engine::{CheckpointConfig, CheckpointPolicy, CostDrivenConfig, Engine, FaultConfig};
 use proptest::prelude::*;
 
 fn tiny_engine() -> Engine {
@@ -317,9 +314,9 @@ proptest! {
 
     // Any (seed, eviction rate, chaos flag) point: cost-driven placement —
     // counters, budget, and the clock — replays bit-identically across
-    // 1/2/4 worker threads and both dispatch modes, and EveryN does too.
+    // 1/2/4 worker threads, and EveryN does too.
     #[test]
-    fn placement_replays_bit_identically_across_threads_and_modes(
+    fn placement_replays_bit_identically_across_threads(
         seed in any::<u64>(),
         evict_pct in 0u32..80,
         chaos in any::<bool>(),
@@ -339,15 +336,12 @@ proptest! {
             CheckpointConfig::every(3),
         ] {
             let mut runs = Vec::new();
-            for mode in [ParallelismMode::Pool, ParallelismMode::PerOperator] {
-                for threads in [1usize, 2, 4] {
-                    let engine = tiny_engine()
-                        .with_parallelism_mode(mode)
-                        .with_worker_threads(Some(threads))
-                        .with_faults(faults)
-                        .with_checkpoints(ck);
-                    runs.push(engine.run(&prog, &catalog).expect("placement run"));
-                }
+            for threads in [1usize, 2, 4] {
+                let engine = tiny_engine()
+                    .with_worker_threads(Some(threads))
+                    .with_faults(faults)
+                    .with_checkpoints(ck);
+                runs.push(engine.run(&prog, &catalog).expect("placement run"));
             }
             for r in &runs {
                 prop_assert_eq!(&r.scalars, &baseline.scalars);

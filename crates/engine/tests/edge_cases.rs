@@ -4,11 +4,11 @@
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
 use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::{Catalog, Interp};
-use emma_compiler::pipeline::{parallelize, OptimizerFlags};
+use emma_compiler::pipeline::{parallelize, EvalTier, OptimizerFlags};
 use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_engine::cluster::{ClusterSpec, Personality};
-use emma_engine::Engine;
+use emma_engine::{BatchConfig, Engine};
 
 fn engine() -> Engine {
     Engine::new(ClusterSpec::tiny(), Personality::sparrow())
@@ -345,15 +345,20 @@ fn writes_charge_storage_and_record_rows() {
     assert!(run.stats.bytes_read_storage > 0);
 }
 
+/// The vectorized tier with a small batch, so multi-batch replay is covered.
+fn vectorized_flags() -> OptimizerFlags {
+    OptimizerFlags::all().with_eval_tier(EvalTier::Vectorized(BatchConfig::new(64)))
+}
+
 /// Interp vs scalar engine vs vectorized engine on one program: all sinks
 /// must agree as multisets, and vectorization must not move the clock.
 fn vec_differential(p: &Program, catalog: &Catalog) {
     let expected = Interp::new(catalog).run(p).expect("interp");
-    let compiled = parallelize(p, &OptimizerFlags::all().with_compiled_eval(true));
-    let scalar = engine().run(&compiled, catalog).expect("scalar engine");
+    let scalar = engine()
+        .run(&parallelize(p, &OptimizerFlags::all()), catalog)
+        .expect("scalar engine");
     let vec = engine()
-        .with_vectorized_eval(emma_engine::BatchConfig::new(64))
-        .run(&compiled, catalog)
+        .run(&parallelize(p, &vectorized_flags()), catalog)
         .expect("vectorized engine");
     for (sink, rows) in &expected.writes {
         assert_eq!(
@@ -421,10 +426,8 @@ fn all_empty_string_columns_vectorize_cleanly() {
     vec_differential(&p, &catalog);
     // And pin that the batch tier actually ran: 600 identical empty strings
     // sample as one distinct value, the dictionary-friendly extreme.
-    let compiled = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
     let run = engine()
-        .with_vectorized_eval(emma_engine::BatchConfig::new(64))
-        .run(&compiled, &catalog)
+        .run(&parallelize(&p, &vectorized_flags()), &catalog)
         .expect("vectorized engine");
     assert!(run.stats.rows_vectorized > 0, "{}", run.stats);
     assert_eq!(run.stats.vector_fallbacks, 0, "{}", run.stats);

@@ -8,9 +8,9 @@
 //!    (including `simulated_secs`) — the fault machinery must be free when
 //!    disabled.
 //! 2. **Same seed, same run**: with injection active, two runs with the same
-//!    config produce bit-identical `ExecStats`, regardless of dispatch mode
-//!    or thread count — the failure schedule is a pure function of the
-//!    driver-ordered identifiers, never of scheduling.
+//!    config produce bit-identical `ExecStats`, regardless of thread count
+//!    — the failure schedule is a pure function of the driver-ordered
+//!    identifiers, never of scheduling.
 //! 3. **Failures don't corrupt**: with a sufficient retry budget, every
 //!    injected failure schedule still yields exactly the fault-free sink
 //!    rows and scalars.
@@ -22,7 +22,7 @@ use emma_compiler::pipeline::{parallelize, CompiledProgram, OptimizerFlags};
 use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_engine::cluster::{ClusterSpec, Personality};
-use emma_engine::{Engine, ExecError, FaultConfig, ParallelismMode};
+use emma_engine::{Engine, ExecError, FaultConfig};
 use proptest::prelude::*;
 
 fn tiny_engine() -> Engine {
@@ -116,32 +116,29 @@ fn cached_loop_workload() -> (CompiledProgram, Catalog) {
 fn zero_probability_config_is_bit_identical_to_no_config() {
     let (prog, catalog) = workload();
     for personality in [Personality::sparrow(), Personality::flamingo()] {
-        for mode in [ParallelismMode::Pool, ParallelismMode::PerOperator] {
-            let plain = Engine::new(ClusterSpec::tiny(), personality.clone())
-                .with_parallelism_threshold(0)
-                .with_parallelism_mode(mode);
-            let faulted = plain.clone().with_faults(FaultConfig::disabled());
-            let also_faulted = plain.clone().with_faults(
-                FaultConfig::chaos(7)
-                    .with_task_fail_p(0.0)
-                    .with_straggler_p(0.0)
-                    .with_cache_evict_p(0.0),
+        let plain =
+            Engine::new(ClusterSpec::tiny(), personality.clone()).with_parallelism_threshold(0);
+        let faulted = plain.clone().with_faults(FaultConfig::disabled());
+        let also_faulted = plain.clone().with_faults(
+            FaultConfig::chaos(7)
+                .with_task_fail_p(0.0)
+                .with_straggler_p(0.0)
+                .with_cache_evict_p(0.0),
+        );
+        let a = plain.run(&prog, &catalog).expect("plain");
+        for engine in [faulted, also_faulted] {
+            let b = engine.run(&prog, &catalog).expect("zero-probability");
+            assert_eq!(a.writes, b.writes);
+            assert_eq!(a.scalars, b.scalars);
+            assert_eq!(a.stats, b.stats);
+            assert_eq!(
+                a.stats.simulated_secs.to_bits(),
+                b.stats.simulated_secs.to_bits(),
+                "simulated clock must be bit-identical with injection off"
             );
-            let a = plain.run(&prog, &catalog).expect("plain");
-            for engine in [faulted, also_faulted] {
-                let b = engine.run(&prog, &catalog).expect("zero-probability");
-                assert_eq!(a.writes, b.writes);
-                assert_eq!(a.scalars, b.scalars);
-                assert_eq!(a.stats, b.stats);
-                assert_eq!(
-                    a.stats.simulated_secs.to_bits(),
-                    b.stats.simulated_secs.to_bits(),
-                    "simulated clock must be bit-identical with injection off"
-                );
-                assert_eq!(b.stats.tasks_failed, 0);
-                assert_eq!(b.stats.tasks_retried, 0);
-                assert_eq!(b.stats.cache_evictions, 0);
-            }
+            assert_eq!(b.stats.tasks_failed, 0);
+            assert_eq!(b.stats.tasks_retried, 0);
+            assert_eq!(b.stats.cache_evictions, 0);
         }
     }
 }
@@ -181,20 +178,12 @@ fn chaos_preserves_results_and_reruns_bit_identically() {
 }
 
 #[test]
-fn failure_schedule_is_independent_of_dispatch_mode_and_threads() {
+fn failure_schedule_is_independent_of_threads() {
     let (prog, catalog) = workload();
     let cfg = FaultConfig::chaos(9).with_task_fail_p(0.25);
     let mut runs = Vec::new();
-    for (mode, threads) in [
-        (ParallelismMode::Pool, None),
-        (ParallelismMode::Pool, Some(1)),
-        (ParallelismMode::Pool, Some(7)),
-        (ParallelismMode::PerOperator, Some(4)),
-    ] {
-        let engine = tiny_engine()
-            .with_parallelism_mode(mode)
-            .with_worker_threads(threads)
-            .with_faults(cfg);
+    for threads in [None, Some(1), Some(7), Some(4)] {
+        let engine = tiny_engine().with_worker_threads(threads).with_faults(cfg);
         runs.push(engine.run(&prog, &catalog).expect("faulted run"));
     }
     for r in &runs[1..] {

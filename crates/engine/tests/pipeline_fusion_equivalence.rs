@@ -4,19 +4,18 @@
 //! equality covers `simulated_secs` via the exact attosecond accumulator,
 //! all byte/record counters, stages, and cache hit/miss counts).
 //!
-//! The same invariance must hold across thread-dispatch modes: the
-//! persistent worker pool and the legacy per-operator scopes (and serial
-//! execution below the fan-out threshold) may not change any output
-//! or counter.
+//! The same invariance must hold across thread counts and the fan-out gate:
+//! a 4-thread worker pool, the default engine, and serial execution below
+//! the fan-out threshold may not change any output or counter.
 
 use emma_compiler::bag_expr::BagExpr;
 use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::Catalog;
 use emma_compiler::physical_pipeline::apply_pipeline_fusion;
-use emma_compiler::pipeline::{CStmt, CompiledProgram, OptimizationReport};
+use emma_compiler::pipeline::{CStmt, CompiledProgram, EvalTier, OptimizationReport};
 use emma_compiler::plan::Plan;
 use emma_compiler::value::Value;
-use emma_engine::{Engine, EngineRun, ParallelismMode};
+use emma_engine::{Engine, EngineRun};
 use proptest::prelude::*;
 
 /// One randomly drawn narrow operator over `Int` rows.
@@ -105,8 +104,7 @@ fn chain_program(ops: &[NarrowOp]) -> CompiledProgram {
             plan,
         }],
         report: OptimizationReport::default(),
-        compiled_eval: true,
-        vectorized_eval: false,
+        eval_tier: EvalTier::Compiled,
     }
 }
 
@@ -136,14 +134,8 @@ fn assert_equivalent(a: &EngineRun, b: &EngineRun, what: &str) {
 /// inputs, so the worker-pool paths are actually exercised.
 fn pool_engine() -> Engine {
     Engine::sparrow()
-        .with_parallelism_mode(ParallelismMode::Pool)
         .with_worker_threads(Some(4))
         .with_parallelism_threshold(1)
-}
-
-/// The seed-equivalent baseline: per-operator scopes, default gate.
-fn per_op_engine() -> Engine {
-    Engine::sparrow().with_parallelism_mode(ParallelismMode::PerOperator)
 }
 
 proptest! {
@@ -171,7 +163,7 @@ proptest! {
     }
 
     #[test]
-    fn pool_equals_per_operator_scopes(
+    fn pool_equals_default_engine(
         rows in prop::collection::vec(-100i64..100, 0..200),
         ops in prop::collection::vec(op_strategy(), 1..7),
     ) {
@@ -180,8 +172,8 @@ proptest! {
         let prog = fused_clone(&chain_program(&ops));
         assert_equivalent(
             &run(&pool_engine(), &prog, &catalog),
-            &run(&per_op_engine(), &prog, &catalog),
-            "pool vs per-operator",
+            &run(&Engine::sparrow(), &prog, &catalog),
+            "pool vs default engine",
         );
     }
 
@@ -240,8 +232,7 @@ fn grouped_input_pipeline_matches_unfused() {
             plan: projected,
         }],
         report: OptimizationReport::default(),
-        compiled_eval: true,
-        vectorized_eval: false,
+        eval_tier: EvalTier::Compiled,
     };
     let fused = fused_clone(&unfused);
     assert_eq!(fused.report.pipelines_fused, 1);
@@ -251,7 +242,7 @@ fn grouped_input_pipeline_matches_unfused() {
         .map(|i| Value::tuple(vec![Value::Int(i % 37), Value::Int(i % 11)]))
         .collect();
     let catalog = Catalog::new().with("kv", rows);
-    for engine in [pool_engine(), per_op_engine()] {
+    for engine in [pool_engine(), Engine::sparrow()] {
         assert_equivalent(
             &run(&engine, &fused, &catalog),
             &run(&engine, &unfused, &catalog),

@@ -16,8 +16,7 @@
 //!    budget frees; impossible working sets reject.
 //! 4. **Replay matrix**: a fixed submission sequence replays bit-identical
 //!    per-session results, `ExecStats`, admission decisions, and aggregate
-//!    service stats across 1/2/4 worker threads × both dispatch modes ×
-//!    chaos on/off.
+//!    service stats across 1/2/4 worker threads × chaos on/off.
 
 use emma_compiler::bag_expr::BagExpr;
 use emma_compiler::expr::{FoldOp, Lambda, ScalarExpr};
@@ -27,9 +26,7 @@ use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_engine::cluster::{ClusterSpec, Personality};
 use emma_engine::service::estimate_cost;
-use emma_engine::{
-    AdmissionDecision, Engine, FaultConfig, ParallelismMode, ServiceConfig, SessionService,
-};
+use emma_engine::{AdmissionDecision, Engine, FaultConfig, ServiceConfig, SessionService};
 use proptest::prelude::*;
 
 fn tiny_engine() -> Engine {
@@ -276,10 +273,9 @@ proptest! {
 
     // Any (seed, chaos flag) point: the whole service transcript — admission
     // decisions, per-session writes/scalars/stats, the aggregate clock —
-    // replays bit-identically across 1/2/4 worker threads and both dispatch
-    // modes.
+    // replays bit-identically across 1/2/4 worker threads.
     #[test]
-    fn service_replays_bit_identically_across_threads_and_modes(
+    fn service_replays_bit_identically_across_threads(
         seed in any::<u64>(),
         chaos in any::<bool>(),
     ) {
@@ -292,14 +288,11 @@ proptest! {
             FaultConfig::disabled()
         };
         let mut transcripts = Vec::new();
-        for mode in [ParallelismMode::Pool, ParallelismMode::PerOperator] {
-            for threads in [1usize, 2, 4] {
-                let engine = tiny_engine()
-                    .with_parallelism_mode(mode)
-                    .with_worker_threads(Some(threads))
-                    .with_faults(faults);
-                transcripts.push(service_transcript(engine, &progs, cfg));
-            }
+        for threads in [1usize, 2, 4] {
+            let engine = tiny_engine()
+                .with_worker_threads(Some(threads))
+                .with_faults(faults);
+            transcripts.push(service_transcript(engine, &progs, cfg));
         }
         let (decisions0, runs0, stats0) = &transcripts[0];
         prop_assert_eq!(decisions0.len(), 4);

@@ -11,14 +11,14 @@
 //!    (`groupBy`, join probe) reproduce the exact row order.
 //! 3. **Splitting actually rebalances**: under a Zipf-skewed key
 //!    distribution the hot shuffle partition's row count drops at least 2×.
-//! 4. **Schedules replay bit-identically** across 1/2/4 threads and both
-//!    dispatch modes with splitting on, and split sub-partitions retry
-//!    independently under injected faults.
+//! 4. **Schedules replay bit-identically** across 1/2/4 threads with
+//!    splitting on, and split sub-partitions retry independently under
+//!    injected faults.
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
 use emma_compiler::expr::{BuiltinFn, FoldOp, Lambda, ScalarExpr};
 use emma_compiler::interp::Catalog;
-use emma_compiler::pipeline::{parallelize, CompiledProgram, OptimizerFlags};
+use emma_compiler::pipeline::{parallelize, CompiledProgram, EvalTier, OptimizerFlags};
 use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_datagen::distributions::{self, KeyDistribution};
@@ -26,7 +26,7 @@ use emma_engine::cluster::{ClusterSpec, Personality};
 use emma_engine::dataset::value_hash;
 use emma_engine::exec::EngineRun;
 use emma_engine::skew::{self, SkewConfig};
-use emma_engine::{BatchConfig, Engine, ExecStats, FaultConfig, ParallelismMode};
+use emma_engine::{BatchConfig, Engine, ExecStats, FaultConfig};
 use proptest::prelude::*;
 
 #[path = "../../../tests/common/string_exprs.rs"]
@@ -41,15 +41,8 @@ fn eager_cfg() -> SkewConfig {
     SkewConfig::default().with_min_part_rows(64)
 }
 
-/// The thread-count × dispatch-mode matrix every determinism check spans.
-const MATRIX: [(ParallelismMode, usize); 6] = [
-    (ParallelismMode::Pool, 1),
-    (ParallelismMode::Pool, 2),
-    (ParallelismMode::Pool, 4),
-    (ParallelismMode::PerOperator, 1),
-    (ParallelismMode::PerOperator, 2),
-    (ParallelismMode::PerOperator, 4),
-];
+/// The thread counts every determinism check spans.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Zipf-keyed workload covering every skew-eligible operator: a raw
 /// `groupBy` (Balanced split + two-phase merge), a fused group-aggregate
@@ -127,8 +120,8 @@ fn workload(n: usize, keys: i64, s: f64, seed: u64) -> (Program, Catalog) {
     (program, catalog)
 }
 
-fn compile(p: &Program, compiled_eval: bool) -> CompiledProgram {
-    parallelize(p, &OptimizerFlags::all().with_compiled_eval(compiled_eval))
+fn compile(p: &Program, tier: EvalTier) -> CompiledProgram {
+    parallelize(p, &OptimizerFlags::all().with_eval_tier(tier))
 }
 
 fn sorted(rows: &[Value]) -> Vec<Value> {
@@ -173,8 +166,8 @@ fn splitting_off_is_the_identity() {
     // `max_skew_ratio` — every cost counter, including the bit pattern of
     // `simulated_secs`, is untouched.
     let (p, catalog) = workload(3_000, 40, 1.4, 11);
-    for compiled in [true, false] {
-        let prog = compile(&p, compiled);
+    for tier in [EvalTier::Compiled, EvalTier::Interp] {
+        let prog = compile(&p, tier);
         let plain = tiny_engine().run(&prog, &catalog).expect("plain");
         let watching = tiny_engine()
             .with_skew_splitting(SkewConfig::default().with_min_part_rows(u64::MAX))
@@ -198,7 +191,7 @@ fn splitting_off_identity_holds_under_chaos() {
     // The fault-matrix leg of the off-identity: an idle config must not
     // perturb the injected failure schedule either.
     let (p, catalog) = workload(2_000, 40, 1.4, 13);
-    let prog = compile(&p, true);
+    let prog = compile(&p, EvalTier::Compiled);
     let cfg = FaultConfig::chaos(23);
     let plain = tiny_engine()
         .with_faults(cfg)
@@ -221,8 +214,8 @@ fn splitting_off_identity_holds_under_chaos() {
 #[test]
 fn splitting_preserves_rows_and_scalars() {
     let (p, catalog) = workload(4_000, 50, 1.4, 7);
-    for compiled in [true, false] {
-        let prog = compile(&p, compiled);
+    for tier in [EvalTier::Compiled, EvalTier::Interp] {
+        let prog = compile(&p, tier);
         let off = tiny_engine().run(&prog, &catalog).expect("split off");
         let on = tiny_engine()
             .with_skew_splitting(eager_cfg())
@@ -267,13 +260,12 @@ fn splitting_halves_the_hot_partition() {
 }
 
 #[test]
-fn split_schedules_replay_across_threads_and_modes() {
+fn split_schedules_replay_across_threads() {
     let (p, catalog) = workload(3_000, 40, 1.4, 19);
-    let prog = compile(&p, true);
+    let prog = compile(&p, EvalTier::Compiled);
     let mut runs = Vec::new();
-    for (mode, threads) in MATRIX {
+    for threads in THREADS {
         let engine = tiny_engine()
-            .with_parallelism_mode(mode)
             .with_worker_threads(Some(threads))
             .with_skew_splitting(eager_cfg());
         runs.push(engine.run(&prog, &catalog).expect("split run"));
@@ -297,7 +289,7 @@ fn split_sub_partitions_retry_independently_under_chaos() {
     // failures retry just that sub-partition, results stay exact, and the
     // whole fault schedule replays bit-identically.
     let (p, catalog) = workload(3_000, 40, 1.4, 29);
-    let prog = compile(&p, true);
+    let prog = compile(&p, EvalTier::Compiled);
     let baseline = tiny_engine()
         .with_skew_splitting(eager_cfg())
         .run(&prog, &catalog)
@@ -341,8 +333,8 @@ fn without_vec_telemetry(stats: &ExecStats) -> ExecStats {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // String-keyed wide operators under skew splitting, across the full
-    // thread × mode matrix: the vectorized key path must agree with the
+    // String-keyed wide operators under skew splitting, across every
+    // thread count: the vectorized key path must agree with the
     // scalar tier on rows, scalars, errors, every cost counter, and the
     // exact clock bits — its only trace may be the vectorization telemetry.
     #[test]
@@ -373,17 +365,16 @@ proptest! {
                     .sum(),
             ),
         ]);
-        let prog = compile(&program, true);
+        let prog = compile(&program, EvalTier::Compiled);
+        let vec_prog = compile(&program, EvalTier::Vectorized(BatchConfig::new(64)));
         let cfg = SkewConfig::default().with_min_part_rows(32);
         let scalar = tiny_engine().with_skew_splitting(cfg).run(&prog, &catalog);
         let mut vec_runs = Vec::new();
-        for (mode, threads) in MATRIX {
+        for threads in THREADS {
             let engine = tiny_engine()
-                .with_parallelism_mode(mode)
                 .with_worker_threads(Some(threads))
-                .with_skew_splitting(cfg)
-                .with_vectorized_eval(BatchConfig::new(64));
-            vec_runs.push(engine.run(&prog, &catalog));
+                .with_skew_splitting(cfg);
+            vec_runs.push(engine.run(&vec_prog, &catalog));
         }
         match &scalar {
             // A generated key body may error (e.g. division by a zero
@@ -417,7 +408,7 @@ proptest! {
     }
 
     // Any (size, exponent, seed) point: splitting on vs. off agrees on rows
-    // and scalars across the full thread × mode matrix and both evaluation
+    // and scalars across every thread count and both scalar evaluation
     // tiers, and the splitting runs all agree with each other bit-exactly.
     #[test]
     fn split_equivalence_holds_for_arbitrary_workloads(
@@ -427,13 +418,12 @@ proptest! {
     ) {
         let (p, catalog) = workload(n, 30, f64::from(s_tenths) / 10.0, seed);
         let cfg = SkewConfig::default().with_min_part_rows(32);
-        for compiled in [true, false] {
-            let prog = compile(&p, compiled);
+        for tier in [EvalTier::Compiled, EvalTier::Interp] {
+            let prog = compile(&p, tier);
             let off = tiny_engine().run(&prog, &catalog).expect("off");
             let mut on_runs = Vec::new();
-            for (mode, threads) in MATRIX {
+            for threads in THREADS {
                 let engine = tiny_engine()
-                    .with_parallelism_mode(mode)
                     .with_worker_threads(Some(threads))
                     .with_skew_splitting(cfg);
                 on_runs.push(engine.run(&prog, &catalog).expect("on"));

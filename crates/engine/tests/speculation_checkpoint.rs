@@ -15,8 +15,8 @@
 //!    iterative lineage recovers from the nearest checkpoint, not from the
 //!    source, observable as `recomputed_plan_nodes` growing linearly with
 //!    the iteration count instead of quadratically.
-//! 4. **Everything replays bit-identically** across thread counts and
-//!    dispatch modes, with both features on.
+//! 4. **Everything replays bit-identically** across thread counts, with
+//!    both features on.
 
 use emma_compiler::bag_expr::{BagExpr, BagLambda};
 use emma_compiler::expr::{Lambda, ScalarExpr};
@@ -25,7 +25,7 @@ use emma_compiler::pipeline::{parallelize, CompiledProgram, OptimizerFlags};
 use emma_compiler::program::{Program, Stmt};
 use emma_compiler::value::Value;
 use emma_engine::cluster::{ClusterSpec, Personality};
-use emma_engine::{CheckpointConfig, Engine, FaultConfig, ParallelismMode, SpeculationPolicy};
+use emma_engine::{CheckpointConfig, Engine, FaultConfig, SpeculationPolicy};
 use proptest::prelude::*;
 
 fn tiny_engine() -> Engine {
@@ -332,23 +332,15 @@ fn checkpointing_without_faults_only_adds_the_write_cost() {
 }
 
 #[test]
-fn speculation_and_checkpoints_replay_across_threads_and_modes() {
+fn speculation_and_checkpoints_replay_across_threads() {
     let (prog, catalog) = deep_loop_workload(16);
     let cfg = FaultConfig::chaos_speculative(17)
         .with_straggler_p(0.3)
         .with_straggler_secs(3.0);
     let mut runs = Vec::new();
-    for (mode, threads) in [
-        (ParallelismMode::Pool, Some(1)),
-        (ParallelismMode::Pool, Some(2)),
-        (ParallelismMode::Pool, Some(4)),
-        (ParallelismMode::PerOperator, Some(1)),
-        (ParallelismMode::PerOperator, Some(2)),
-        (ParallelismMode::PerOperator, Some(4)),
-    ] {
+    for threads in [1usize, 2, 4] {
         let engine = tiny_engine()
-            .with_parallelism_mode(mode)
-            .with_worker_threads(threads)
+            .with_worker_threads(Some(threads))
             .with_faults(cfg)
             .with_checkpoints(CheckpointConfig::every(2));
         runs.push(engine.run(&prog, &catalog).expect("spec+ckpt run"));
@@ -370,8 +362,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Any (seed, straggler rate) point with speculation on: same stats
-    // across 1/2/4 threads and both dispatch modes, and the fault-free
-    // results.
+    // across 1/2/4 threads, and the fault-free results.
     #[test]
     fn speculation_determinism_holds_for_arbitrary_schedules(
         seed in any::<u64>(),
@@ -388,14 +379,11 @@ proptest! {
             .with_max_task_retries(12)
             .with_speculation(true);
         let mut runs = Vec::new();
-        for mode in [ParallelismMode::Pool, ParallelismMode::PerOperator] {
-            for threads in [1usize, 2, 4] {
-                let engine = tiny_engine()
-                    .with_parallelism_mode(mode)
-                    .with_worker_threads(Some(threads))
-                    .with_faults(cfg);
-                runs.push(engine.run(&prog, &catalog).expect("speculative run"));
-            }
+        for threads in [1usize, 2, 4] {
+            let engine = tiny_engine()
+                .with_worker_threads(Some(threads))
+                .with_faults(cfg);
+            runs.push(engine.run(&prog, &catalog).expect("speculative run"));
         }
         for r in &runs {
             prop_assert_eq!(&r.writes, &baseline.writes);

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use emma_compiler::expr::{BinOp, BuiltinFn, FoldKind, FoldOp, Lambda, ScalarExpr, UnOp};
     pub use emma_compiler::interp::{Catalog, Interp, RunOutput};
     pub use emma_compiler::pipeline::{
-        parallelize, CompiledProgram, OptimizationReport, OptimizerFlags,
+        parallelize, CompiledProgram, EvalTier, OptimizationReport, OptimizerFlags,
     };
     pub use emma_compiler::plan::Plan;
     pub use emma_compiler::program::{Program, RValue, Stmt};

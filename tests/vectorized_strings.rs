@@ -6,8 +6,8 @@
 //! reference interpreter, the scalar compiled tier, and the vectorized tier
 //! must agree on every sink's values; the two engine tiers must additionally
 //! agree on errors, on every cost-model counter, and on the exact bit
-//! pattern of the simulated clock — across 1/2/4 worker threads, both
-//! dispatch modes, injected chaos, and skew splitting. The batch tier's only
+//! pattern of the simulated clock — across 1/2/4 worker threads, injected
+//! chaos, and skew splitting. The batch tier's only
 //! permitted trace is its own telemetry (`rows_vectorized`,
 //! `batches_executed`, `vector_fallbacks`, `key_path_fallbacks`).
 //!
@@ -22,21 +22,26 @@ mod common;
 mod string_exprs;
 
 use emma::prelude::*;
-use emma_engine::ParallelismMode;
 use proptest::prelude::*;
 
-/// The thread-count × dispatch-mode matrix every determinism check spans.
-const MATRIX: [(ParallelismMode, usize); 6] = [
-    (ParallelismMode::Pool, 1),
-    (ParallelismMode::Pool, 2),
-    (ParallelismMode::Pool, 4),
-    (ParallelismMode::PerOperator, 1),
-    (ParallelismMode::PerOperator, 2),
-    (ParallelismMode::PerOperator, 4),
-];
+/// The thread counts every determinism check spans.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 fn engine() -> Engine {
     common::tiny_engine(Personality::sparrow())
+}
+
+/// Compiles `p` for the scalar compiled tier and for the vectorized tier
+/// with `batch_rows`-row batches.
+fn compile_tiers(p: &Program, batch_rows: usize) -> (CompiledProgram, CompiledProgram) {
+    let flags = OptimizerFlags::all();
+    (
+        parallelize(p, &flags),
+        parallelize(
+            p,
+            &flags.with_eval_tier(EvalTier::Vectorized(BatchConfig::new(batch_rows))),
+        ),
+    )
 }
 
 fn x() -> ScalarExpr {
@@ -121,7 +126,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // The headline: interp vs compiled vs vectorized over generated string
-    // programs, across the thread × mode matrix, with and without chaos,
+    // programs, across every thread count, with and without chaos,
     // with and without skew splitting — values, errors, counters, and the
     // simulated clock bits all checked in one place.
     #[test]
@@ -134,29 +139,23 @@ proptest! {
     ) {
         let (p, catalog) = string_program(map_body, filter_body, key_body, rows);
         let interp = Interp::new(&catalog).run(&p);
-        let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
+        let (scalar_prog, vec_prog) = compile_tiers(&p, 64);
         let skew_cfg = SkewConfig::default().with_min_part_rows(32);
 
         for chaos in [None, Some(FaultConfig::chaos(chaos_seed))] {
             for skew_on in [false, true] {
-                let mk = |vec_on: bool, mode: ParallelismMode, threads: usize| {
-                    let mut e = engine()
-                        .with_parallelism_mode(mode)
-                        .with_worker_threads(Some(threads));
+                let mk = |prog: &CompiledProgram, threads: usize| {
+                    let mut e = engine().with_worker_threads(Some(threads));
                     if let Some(cfg) = chaos {
                         e = e.with_faults(cfg);
                     }
                     if skew_on {
                         e = e.with_skew_splitting(skew_cfg);
                     }
-                    if vec_on {
-                        e = e.with_vectorized_eval(BatchConfig::new(64));
-                    }
-                    e.run(&prog, &catalog)
+                    e.run(prog, &catalog)
                 };
-                let scalar = mk(false, ParallelismMode::Pool, 2);
-                let vec_runs: Vec<_> =
-                    MATRIX.iter().map(|&(m, t)| mk(true, m, t)).collect();
+                let scalar = mk(&scalar_prog, 2);
+                let vec_runs: Vec<_> = THREADS.iter().map(|&t| mk(&vec_prog, t)).collect();
 
                 match &scalar {
                     // A generated body may error (e.g. divide by a zero
@@ -281,12 +280,9 @@ fn fully_vectorized_string_plan_reports_zero_fallbacks() {
                 )),
         ),
     ]);
-    let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
+    let (prog, vec_prog) = compile_tiers(&p, 256);
     let scalar = engine().run(&prog, &catalog).expect("scalar");
-    let vec = engine()
-        .with_vectorized_eval(BatchConfig::new(256))
-        .run(&prog, &catalog)
-        .expect("vectorized");
+    let vec = engine().run(&vec_prog, &catalog).expect("vectorized");
     assert_eq!(vec.stats.vector_fallbacks, 0, "{}", vec.stats);
     assert_eq!(vec.stats.key_path_fallbacks, 0, "{}", vec.stats);
     assert!(vec.stats.rows_vectorized > 0, "{}", vec.stats);
@@ -311,12 +307,9 @@ fn non_specializable_string_body_bumps_vector_fallbacks() {
         "out",
         BagExpr::read("rows").map(Lambda::new(["x"], nested)),
     )]);
-    let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
+    let (prog, vec_prog) = compile_tiers(&p, 128);
     let scalar = engine().run(&prog, &catalog).expect("scalar");
-    let vec = engine()
-        .with_vectorized_eval(BatchConfig::new(128))
-        .run(&prog, &catalog)
-        .expect("vectorized");
+    let vec = engine().run(&vec_prog, &catalog).expect("vectorized");
     assert!(vec.stats.vector_fallbacks >= 1, "{}", vec.stats);
     assert_eq!(vec.stats.key_path_fallbacks, 0, "{}", vec.stats);
     assert_eq!(vec.writes, scalar.writes);
@@ -350,12 +343,9 @@ fn residual_probe_is_scalar_by_design_and_counted() {
         "joined",
         BagExpr::read("rows").flat_map(BagLambda::new("x", join_inner)),
     )]);
-    let prog = parallelize(&p, &OptimizerFlags::all().with_compiled_eval(true));
+    let (prog, vec_prog) = compile_tiers(&p, 128);
     let scalar = engine().run(&prog, &catalog).expect("scalar");
-    let vec = engine()
-        .with_vectorized_eval(BatchConfig::new(128))
-        .run(&prog, &catalog)
-        .expect("vectorized");
+    let vec = engine().run(&vec_prog, &catalog).expect("vectorized");
     assert!(vec.stats.key_path_fallbacks >= 1, "{}", vec.stats);
     assert_eq!(vec.writes, scalar.writes);
     assert_eq!(
@@ -395,12 +385,13 @@ fn strcontains_cost_is_length_aware_and_tier_identical() {
     )]);
     let run = |p: &Program, len: usize, vec_on: bool| {
         let catalog = Catalog::new().with("rows", rows(len));
-        let prog = parallelize(p, &OptimizerFlags::all().with_compiled_eval(true));
-        let mut e = engine();
-        if vec_on {
-            e = e.with_vectorized_eval(BatchConfig::new(256));
-        }
-        e.run(&prog, &catalog).expect("run")
+        let tier = if vec_on {
+            EvalTier::Vectorized(BatchConfig::new(256))
+        } else {
+            EvalTier::Compiled
+        };
+        let prog = parallelize(p, &OptimizerFlags::all().with_eval_tier(tier));
+        engine().run(&prog, &catalog).expect("run")
     };
     // Tier bit-identity at both lengths.
     for len in [4usize, 256] {
