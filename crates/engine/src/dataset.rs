@@ -100,21 +100,12 @@ impl Partitioned {
             .unwrap_or(0)
     }
 
-    /// Bytes received by the most loaded *node* when consecutive runs of
-    /// `cores` partitions are placed on the same node — the quantity that
-    /// bounds shuffle time (networks are per-node, and per-partition
-    /// variance averages out within a node).
-    pub fn max_node_bytes(&self, cores: usize) -> u64 {
-        let cores = cores.max(1);
+    /// Approximate serialized bytes of each partition, in partition order.
+    pub fn part_bytes(&self) -> Vec<u64> {
         self.parts
-            .chunks(cores)
-            .map(|node| {
-                node.iter()
-                    .map(|p| p.iter().map(Value::approx_bytes).sum::<u64>())
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0)
+            .iter()
+            .map(|p| p.iter().map(Value::approx_bytes).sum())
+            .collect()
     }
 
     /// Gathers all rows into one vector (the `collect` data motion).

@@ -2404,12 +2404,14 @@ impl<'a> Session<'a> {
         // Combiner phase: per-partition partial aggregation, one
         // insertion-ordered map per partition, fanned out on the pool. The
         // key hash is computed once per row and carried with each partial so
-        // neither the partial shuffle nor the merge phase re-hashes. When
+        // neither the partial shuffle nor the merge phase re-hashes; each
+        // task also buckets its own partials for that shuffle. When
         // the key body specialized, each chunk's keys come from one batch
         // kernel run and the `sng`/`uni` folds consume them row by row; an
         // aborted chunk replays interleaved (key, sng, uni per row), so a
         // key error reproduces in its exact interleaving position.
         let catalog = self.catalog;
+        let parts_n = self.dop();
         let partial_lists = self.run_tasks(d.parts.len(), d.total_rows(), |pi| {
             let mut cx = sng_prep.ctx(&base);
             let mut ucx = uni_prep.ctx(&base);
@@ -2456,20 +2458,9 @@ impl<'a> Session<'a> {
                     }
                 }
             }
-            Ok((
-                accs.into_iter()
-                    .map(|(k, (h, acc))| (h, Value::tuple(vec![k, acc])))
-                    .collect::<Vec<_>>(),
-                nvec,
-                nbatches,
-            ))
+            let (chunks, bytes) = bucket_partials(accs, parts_n);
+            Ok((chunks, bytes, nvec, nbatches))
         })?;
-        let mut partials: Vec<(u64, Value)> = Vec::new();
-        for (list, nvec, nbatches) in partial_lists {
-            self.stats.rows_vectorized += nvec;
-            self.stats.batches_executed += nbatches;
-            partials.extend(list);
-        }
         self.charge_cpu_weighted(
             d.total_rows(),
             d.max_part_rows(),
@@ -2482,17 +2473,26 @@ impl<'a> Session<'a> {
 
         // Shuffle only the partial aggregates (one per key per partition),
         // bucketed directly by the hashes the combiner carried — the generic
-        // shuffle would re-evaluate a `t.0` key extractor on every partial
-        // and re-hash. Bucket order over the flattened partials equals the
-        // generic path's partition-spliced order, and the charges are issued
-        // by the same [`charge_shuffle`](Self::charge_shuffle).
-        let parts_n = self.dop();
-        let mut rows_b: Vec<Vec<Value>> = (0..parts_n).map(|_| Vec::new()).collect();
-        let mut hash_b: Vec<Vec<u64>> = (0..parts_n).map(|_| Vec::new()).collect();
-        for (h, row) in partials {
-            let b = (h % parts_n as u64) as usize;
-            rows_b[b].push(row);
-            hash_b[b].push(h);
+        // shuffle would re-evaluate a key extractor on every partial and
+        // re-hash. A partial stays an unboxed `(hash, key, acc)` triple until
+        // the merge emits its group. Splicing the tasks' chunks in partition
+        // order gives the generic path's row order, and their byte sums are
+        // the `(key, acc)` rows the generic path would ship.
+        let mut rows = vec![0usize; parts_n];
+        let mut bytes = vec![0u64; parts_n];
+        for (chunks, chunk_bytes, _, _) in &partial_lists {
+            for b in 0..parts_n {
+                rows[b] += chunks[b].len();
+                bytes[b] += chunk_bytes[b];
+            }
+        }
+        let mut buckets: Vec<Vec<Partial>> = rows.into_iter().map(Vec::with_capacity).collect();
+        for (chunks, _, nvec, nbatches) in partial_lists {
+            self.stats.rows_vectorized += nvec;
+            self.stats.batches_executed += nbatches;
+            for (bucket, mut chunk) in buckets.iter_mut().zip(chunks) {
+                bucket.append(&mut chunk);
+            }
         }
         // Skew-aware split of the partial shuffle. Because the combiner
         // already collapsed each partition to one partial per key, partial
@@ -2500,58 +2500,56 @@ impl<'a> Session<'a> {
         // concentrates partials, and the key-preserving secondary hash keeps
         // every copy of a key in the same sub-partition so the merge phase
         // stays a plain per-partition reduction.
-        let sizes: Vec<u64> = rows_b.iter().map(|b| b.len() as u64).collect();
+        let sizes: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
         let agg_split = self.plan_bucket_splits(split, &sizes);
-        let (shuffled, hash_b) = if let Some(sp) = &agg_split {
-            let mut rows_s: Vec<Vec<Value>> = (0..sp.output_parts).map(|_| Vec::new()).collect();
-            let mut hash_s: Vec<Vec<u64>> = (0..sp.output_parts).map(|_| Vec::new()).collect();
+        if let Some(sp) = &agg_split {
+            let mut split_b: Vec<Vec<Partial>> = (0..sp.output_parts).map(|_| Vec::new()).collect();
             let mut moved = 0u64;
-            for (b, (rows, hashes)) in rows_b.into_iter().zip(hash_b).enumerate() {
+            for (b, bucket) in buckets.into_iter().enumerate() {
                 let w = sp.ways[b];
                 let off = sp.offsets[b];
-                for (row, h) in rows.into_iter().zip(hashes) {
+                for p in bucket {
                     let sub = if w > 1 {
-                        (skew::sub_hash(h) % w as u64) as usize
+                        (skew::sub_hash(p.0) % w as u64) as usize
                     } else {
                         0
                     };
                     moved += u64::from(sub != 0);
-                    rows_s[off + sub].push(row);
-                    hash_s[off + sub].push(h);
+                    split_b[off + sub].push(p);
                 }
             }
             self.stats.partitions_split += sp.partitions_split();
             self.stats.split_rows_moved += moved;
-            let shuffled = Partitioned {
-                parts: rows_s.into_iter().map(Arc::new).collect(),
-                partitioning: None,
-            };
-            self.charge_shuffle(&shuffled, sp.output_parts);
-            (shuffled, hash_s)
-        } else {
-            let shuffled = Partitioned {
-                parts: rows_b.into_iter().map(Arc::new).collect(),
-                partitioning: Some(Partitioning {
-                    key: Lambda::new(["t"], ScalarExpr::var("t").get(0)),
-                    parts: parts_n,
-                }),
-            };
-            self.charge_shuffle(&shuffled, parts_n);
-            (shuffled, hash_b)
-        };
+            bytes = split_b
+                .iter()
+                .map(|b| b.iter().map(partial_bytes).sum())
+                .collect();
+            buckets = split_b;
+        }
+        self.charge_shuffle(&bytes, buckets.len());
+        let merge_parts = buckets.len();
+        let merge_rows: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+        let max_merge_rows = buckets.iter().map(|b| b.len() as u64).max().unwrap_or(0);
 
         // Merge phase: same insertion-ordered per-partition reduction,
-        // looking partials up by their carried hashes.
-        let merged_lists = self.run_tasks(shuffled.parts.len(), shuffled.total_rows(), |pi| {
+        // looking partials up by their carried hashes. Each task drains its
+        // bucket by move (an injected failure skips the body, so the take
+        // happens once) and boxes only the merged groups into output rows.
+        let cells: Vec<Mutex<Option<Vec<Partial>>>> =
+            buckets.into_iter().map(|b| Mutex::new(Some(b))).collect();
+        let merged_lists = self.run_tasks(merge_parts, merge_rows, |pi| {
+            let bucket = cells[pi]
+                .lock()
+                .expect("no task panics while holding a bucket cell")
+                .take()
+                .expect("bucket merged once");
             let mut ucx = uni_prep.ctx(&base);
             let mut accs: InsertionMap<Value, Value> = InsertionMap::new();
-            for (row, &h) in shuffled.parts[pi].iter().zip(&hash_b[pi]) {
-                let k = row.field(0)?.clone();
-                let a = row.field(1)?.clone();
+            for (h, k, a) in bucket {
                 match accs.get_mut_hashed(h, &k) {
                     Some(acc) => {
-                        let merged = uni_prep.call(&[acc.clone(), a], &mut ucx, catalog)?;
-                        *acc = merged;
+                        let prev = std::mem::replace(acc, Value::Null);
+                        *acc = uni_prep.call_owned([prev, a], &mut ucx, catalog)?;
                     }
                     None => {
                         accs.insert_hashed(h, &k, || a);
@@ -2564,7 +2562,7 @@ impl<'a> Session<'a> {
                 .collect::<Vec<_>>())
         })?;
         let parts: Vec<Arc<Vec<Value>>> = merged_lists.into_iter().map(Arc::new).collect();
-        self.charge_cpu(shuffled.total_rows(), shuffled.max_part_rows());
+        self.charge_cpu(merge_rows, max_merge_rows);
         self.stats.stages += 1;
         self.stats.charge_secs(self.personality().stage_overhead);
         // A split layout routes by the two-level (primary, secondary) hash —
@@ -2574,7 +2572,7 @@ impl<'a> Session<'a> {
         } else {
             Some(Partitioning {
                 key: Lambda::new(["g"], ScalarExpr::var("g").get(0)),
-                parts: shuffled.num_parts(),
+                parts: merge_parts,
             })
         };
         Ok(PlanResult::Bag(Partitioned {
@@ -2845,7 +2843,7 @@ impl<'a> Session<'a> {
                 parts: split_buckets.into_iter().map(Arc::new).collect(),
                 partitioning: None,
             };
-            self.charge_shuffle(&out, plan.output_parts);
+            self.charge_shuffle(&out.part_bytes(), plan.output_parts);
             return Ok((out, Some(split_keys), Some(plan)));
         }
         let out = Partitioned {
@@ -2855,20 +2853,29 @@ impl<'a> Session<'a> {
                 parts: parts_n,
             }),
         };
-        self.charge_shuffle(&out, parts_n);
+        self.charge_shuffle(&out.part_bytes(), parts_n);
         Ok((out, Some(keys), None))
     }
 
-    /// The shuffle cost charges, shared by [`shuffle_keyed`](Self::shuffle_keyed)
+    /// The shuffle cost charges for a landed layout given as the bytes of
+    /// each receiving partition, shared by [`shuffle_keyed`](Self::shuffle_keyed)
     /// and the `aggBy` partial-aggregate shuffle (which buckets by hashes the
-    /// combiner already computed).
-    fn charge_shuffle(&mut self, out: &Partitioned, parts_n: usize) {
+    /// combiner already computed and never boxes its partials into rows).
+    fn charge_shuffle(&mut self, part_bytes: &[u64], parts_n: usize) {
         let spec = *self.spec();
-        let total = out.total_bytes();
+        let total: u64 = part_bytes.iter().sum();
         self.stats.bytes_shuffled += total;
         // Stage time = max over receiving nodes; skew dominates balance.
+        // Consecutive runs of `cores_per_node` partitions share a node, and
+        // networks are per node, so per-partition variance averages out
+        // within one.
+        let max_node_bytes = part_bytes
+            .chunks(spec.cores_per_node.max(1))
+            .map(|node| node.iter().sum::<u64>())
+            .max()
+            .unwrap_or(0);
         let balanced = total as f64 / (spec.net_bw * spec.nodes as f64);
-        let skewed = out.max_node_bytes(spec.cores_per_node) as f64 / spec.net_bw;
+        let skewed = max_node_bytes as f64 / spec.net_bw;
         // Large shuffles materialize M×R files; the per-file seeks are what
         // bends Spark's no-fusion curves superlinear in the DOP (Fig. 5).
         let seeks = if total > crate::cluster::SHUFFLE_FILE_CUTOFF {
@@ -3341,6 +3348,41 @@ fn batch_keys(
     Ok((hks, nvec, nbatches))
 }
 
+/// An unboxed `aggBy` partial aggregate: the key's hash, the key and the
+/// accumulator, carried from the combiner through the partial shuffle to
+/// the merge, which alone boxes `(key, acc)` into an output row.
+type Partial = (u64, Value, Value);
+
+/// The shuffle bytes of a partial: `Value::tuple([key, acc]).approx_bytes()`
+/// without building the tuple, so the simulated shuffle cost is that of the
+/// `(key, acc)` row the partial stands for.
+fn partial_bytes((_, k, acc): &Partial) -> u64 {
+    8 + k.approx_bytes() + acc.approx_bytes()
+}
+
+/// One combiner task's partials, moved into `parts_n` shuffle buckets by
+/// their carried hash (insertion order within each bucket), with each
+/// bucket's bytes. Buckets are sized exactly before the move.
+fn bucket_partials(
+    accs: InsertionMap<Value, (u64, Value)>,
+    parts_n: usize,
+) -> (Vec<Vec<Partial>>, Vec<u64>) {
+    let bucket_of = |h: u64| (h % parts_n as u64) as usize;
+    let mut counts = vec![0usize; parts_n];
+    for (_, (h, _)) in accs.iter() {
+        counts[bucket_of(*h)] += 1;
+    }
+    let mut chunks: Vec<Vec<Partial>> = counts.into_iter().map(Vec::with_capacity).collect();
+    let mut bytes = vec![0u64; parts_n];
+    for (k, (h, acc)) in accs {
+        let p = (h, k, acc);
+        let b = bucket_of(h);
+        bytes[b] += partial_bytes(&p);
+        chunks[b].push(p);
+    }
+    (chunks, bytes)
+}
+
 /// One `aggBy` combiner step: fold `row`'s contribution into the partial
 /// accumulator for key `k`. The caller supplies `k` (scalar or batch key
 /// path); the `sng`-then-`uni` evaluation order — and therefore the error
@@ -3364,11 +3406,11 @@ where
     let s = sng.call(std::slice::from_ref(row), scx, catalog)?;
     match accs.get_mut_hashed(h, &k) {
         Some((_, acc)) => {
-            let merged = uni.call(&[acc.clone(), s], ucx, catalog)?;
-            *acc = merged;
+            let prev = std::mem::replace(acc, Value::Null);
+            *acc = uni.call_owned([prev, s], ucx, catalog)?;
         }
         None => {
-            let first = uni.call(&[zero.clone(), s], ucx, catalog)?;
+            let first = uni.call_owned([zero.clone(), s], ucx, catalog)?;
             accs.insert_hashed(h, &k, || (h, first));
         }
     }
